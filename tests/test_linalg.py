@@ -6,6 +6,8 @@ never calls it. Analytic eigenvalues of the 1-D Dirichlet Laplacian and the
 """
 
 import cmath
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,10 +83,15 @@ class TestBandedLU:
     @pytest.mark.parametrize(
         "n,kl,ku,real",
         [(8, 1, 1, False), (30, 3, 2, False), (50, 5, 5, False),
-         (40, 4, 3, True)],
-        ids=["8-1-1", "30-3-2", "50-5-5", "40-4-3-real"])
+         (40, 4, 3, True), (45, 3, 4, False), (10, 6, 5, False),
+         (150, 20, 17, False), (120, 9, 8, True)],
+        ids=["8-1-1", "30-3-2", "50-5-5", "40-4-3-real", "45-3-4",
+             "10-6-5", "150-20-17", "120-9-8-real"])
     def test_residual_random_systems(self, n, kl, ku, real):
-        # real operator with real shift takes the float64 factor path
+        # real operator with real shift takes the float64 factor path. The
+        # replay block is B = min(32, kl + ku) rows: 45-3-4 ends in a partial
+        # block, 10-6-5 has n < B, 150-20-17 has B = 32 and five blocks, and
+        # 120-9-8-real runs several blocks on the float64 path.
         rng = np.random.default_rng(n)
         A = random_banded(rng, n, kl, ku, real)
         shift = 0.3 if real else 0.3 + 0.2j
@@ -103,6 +110,23 @@ class TestBandedLU:
         x = lu_factor(A).solve(np.array([1.0, 0.0], dtype=complex))
         r = A.apply(x) - np.array([1.0, 0.0])
         assert norm(r) < 1e-12
+
+    def test_pivot_across_block_edge(self):
+        # tridiagonal, so blocks of B = 2 rows; row 3, the last of block 1,
+        # has a tiny diagonal and nothing left of it, so column 3 takes its
+        # pivot from row 4, the first row of block 2
+        n = 8
+        M = 4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+        M[3, 3], M[3, 2] = 1e-20, 0.0
+        A = SparseOperator.from_dense(M)
+        lu = lu_factor(A)
+        assert lu._perm[1, 1] == 4
+        b = np.arange(1.0, n + 1.0) + 0.5j
+        x = lu.solve(b)
+        assert norm(A.apply(x) - b) < 1e-12 * norm(b)
+        xo = np.linalg.solve(M, b)
+        assert norm(x - xo) < 1e-12 * norm(xo)
+        assert lu.solve(b).tobytes() == x.tobytes()
 
     def test_singular_shift_raises(self):
         A = SparseOperator(3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0])
@@ -258,3 +282,15 @@ class TestEig2x2:
             assert all(abs(a - b) < 1e-12 for a, b in zip(got, want))
             for p in eig2x2(M):
                 assert p.residual_norm < 1e-12 * max(1.0, np.abs(M).max())
+
+
+def test_src_never_names_numpy_linalg():
+    # the package solves everything itself; numpy.linalg is a test oracle only
+    src = Path(__file__).resolve().parent.parent / "src"
+    named = re.compile(r"\b(?:np|numpy)\.linalg\b"
+                       r"|\bfrom\s+numpy\s+import\b.*\blinalg\b")
+    hits = [f"{path.relative_to(src)}:{i}"
+            for path in sorted(src.rglob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if named.search(line)]
+    assert hits == []
