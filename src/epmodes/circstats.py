@@ -18,11 +18,6 @@ class EmptySet(Exception):
     """No samples survive: nothing to take statistics of."""
 
 
-class DegenerateAlignment(Exception):
-    """R_2 ~ 0: the doubled distribution has no preferred direction, so the
-    mu_2 alignment is undefined. Callers fall back to zero offset and flag."""
-
-
 def fold_sum(values) -> complex:
     # strict left-to-right accumulation; never a pairwise or parallel
     # reduction, so published numbers are bitwise reproducible
@@ -63,7 +58,23 @@ class Resultant:
 class AlignedAngles:
     theta_shift: np.ndarray
     N_bins: int
+
+
+@dataclass(frozen=True)
+class Alignment:
+    """A phase set rotated by its mean doubled direction mu_2.
+
+    Z_2 is taken once, and every rotation below uses its offset. When
+    |Z_2| < 1e-12 (the self-orthogonal regime) no doubled direction is
+    preferred: the offset is then 0 and `degenerate` is set.
+    """
+
+    R2: float
     mu2: float
+    degenerate: bool
+    doubled: AlignedAngles   # (2 phi - mu_2 + D/2) mod 2pi
+    unfolded: AlignedAngles  # (phi - mu_2/2 + D/2) mod 2pi
+    R1: float                # lobe imbalance of phi - mu_2/2
 
 
 @dataclass(frozen=True)
@@ -113,52 +124,42 @@ def resultant(s: WeightedPhaseSet, k: int) -> Resultant:
     return Resultant(k, complex(z), min(abs(z), 1.0), float(np.angle(z)))
 
 
-def doubled_align(s: WeightedPhaseSet, N_bins: int) -> AlignedAngles:
-    """Doubled angles theta = 2 phi mod 2pi, rotated so the mean doubled
-    direction mu_2 sits at the half-bin center: (theta - mu_2 + D/2) mod 2pi."""
+def align(s: WeightedPhaseSet, N_bins: int) -> Alignment:
+    """Doubled, unfolded and lobe alignments of s, all by one mu_2.
+
+    The unfolded shift pins the dominant phase pair to bin centers, so an
+    ideal two-lobe real mode lands on exactly two bins. The lobe split pins
+    it to the real axis, which makes the split rotation-invariant: a global
+    phase moves mu_2 along with the samples (up to a half-turn, which only
+    swaps the lobes).
+    """
     if N_bins < 2:
         raise ValueError("N_bins must be >= 2")
     r2 = resultant(s, 2)
-    if abs(r2.Z_k) < 1e-12:
-        raise DegenerateAlignment(
-            f"|Z_2| = {abs(r2.Z_k):.3e}: no preferred doubled direction")
+    degenerate = abs(r2.Z_k) < 1e-12
+    mu2 = 0.0 if degenerate else r2.mu_k
     delta = 2.0 * np.pi / N_bins
-    theta = _wrap(2.0 * s.phases)
-    shifted = _wrap(theta - r2.mu_k + delta / 2.0)
-    return AlignedAngles(shifted, N_bins, r2.mu_k)
+    doubled = _wrap(_wrap(2.0 * s.phases) - mu2 + delta / 2.0)
+    unfolded = np.mod(s.phases - mu2 / 2.0 + delta / 2.0, 2.0 * np.pi)
+    r1 = lobe_imbalance(_wrap(s.phases - mu2 / 2.0), s.weights)
+    return Alignment(r2.R_k, mu2, degenerate, AlignedAngles(doubled, N_bins),
+                     AlignedAngles(unfolded, N_bins), r1)
 
 
-def lobe_imbalance(s: WeightedPhaseSet) -> float:
+def lobe_imbalance(phi: np.ndarray, weights: np.ndarray) -> float:
     """R_1 of the two-lobe split: |W+ - W-| / (W+ + W-).
 
     Lobes are decided on phi itself, so the only samples excluded are the
     exactly representable cos phi = 0 angles pi/2 and 3pi/2.
     """
-    phi = s.phases
     half = np.pi / 2.0
     plus = (phi < half) | (phi > 3.0 * half)
     minus = (phi > half) & (phi < 3.0 * half)
     if not plus.any() and not minus.any():
         raise EmptySet("both lobes empty")
-    wp = float(fold_sum(s.weights * plus))
-    wm = float(fold_sum(s.weights * minus))
+    wp = float(fold_sum(weights * plus))
+    wm = float(fold_sum(weights * minus))
     return abs(wp - wm) / (wp + wm)
-
-
-def aligned_lobe_imbalance(s: WeightedPhaseSet) -> float:
-    """Lobe imbalance after rotating phases by -mu_2/2.
-
-    The alignment pins the dominant phase pair to the real axis first, which
-    is what makes the split rotation-invariant: a global phase moves mu_2
-    along with the samples (up to a half-turn, which only swaps the lobes).
-    """
-    r2 = resultant(s, 2)
-    if abs(r2.Z_k) < 1e-12:
-        raise DegenerateAlignment(
-            f"|Z_2| = {abs(r2.Z_k):.3e}: lobe alignment undefined")
-    rotated = WeightedPhaseSet(
-        _wrap(s.phases - r2.mu_k / 2.0), s.weights)
-    return lobe_imbalance(rotated)
 
 
 def current_field(m: Mode) -> CurrentField:

@@ -26,10 +26,9 @@ from .entropy import HistogramPMF, chi_squared, entropy_report, renyi
 from .io import (ParseError, ValidationError, parse_config,
                  parse_output_options, read_mode_file, read_sweep_csv,
                  write_mode_file, write_sweep_csv)
-from .linalg import NoConvergence, SingularShift
-from .models import GridTooCoarse, Mode
+from .models import Mode
 from .nonorth import phase_rigidity_cs, petermann
-from .sweep import SweepRecord, _solve_point, mode_diagnostics, run_sweep
+from .sweep import SweepRecord, mode_diagnostics, run_sweep, solve_points
 from .svgplot import emit_svg
 
 
@@ -128,15 +127,8 @@ def _cmd_solve(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     records = []
     written = 0
-    for idx, x in enumerate(cfg.grid):
-        x = float(x)
-        try:
-            modes = _solve_point(cfg, x)
-        except (SingularShift, NoConvergence, GridTooCoarse) as exc:
-            records.append(
-                SweepRecord(x, [], f"{type(exc).__name__}: {exc}"))
-            continue
-        records.append(SweepRecord(x, []))
+    for idx, (x, modes, error) in enumerate(solve_points(cfg)):
+        records.append(SweepRecord(x, [], error))
         for j, md in enumerate(modes):
             name = f"mode_p{idx:04d}_m{j}.ep"
             write_mode_file(md, os.path.join(out_dir, name), parameter=x)

@@ -2,13 +2,12 @@
 
 All logs are natural (nats). The histogram lives on N_bins equal bins of
 [0, 2pi); the Fourier spectrum F_k = integral p(theta) e^{-ik theta} dtheta
-is estimated either from the weighted samples directly or from bin centers.
-Identities used as cross-checks throughout:
+is estimated from the weighted aligned samples. Identities used as
+cross-checks throughout:
 
     H_2(p) = ln N - ln(1 + chi^2(p)),   chi^2 = N sum p^2 - 1
     sum_{k=0}^{N-1} |F_k|^2 = N sum_b p_b^2          (full-DFT Parseval)
     H_alpha(p) = ln N - D_alpha(p || uniform)
-    H_1 = ln N - N/2 sum delta^2 + N^2/6 sum delta^3 + O(delta^4)
 
 Every reduction is a strict left fold in index order so that published
 numbers reproduce bitwise.
@@ -17,25 +16,21 @@ numbers reproduce bitwise.
 from __future__ import annotations
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circstats import (
     WeightedPhaseSet,
     AlignedAngles,
-    DegenerateAlignment,
-    resultant,
-    doubled_align,
+    Alignment,
+    align,
     fold_sum,
 )
-
-LN_PI_E = 1.0 + float(np.log(np.pi))  # log(pi e), the conjugate-pair bound
 
 
 @dataclass
 class HistogramPMF:
     N_bins: int
     p: np.ndarray
-    delta_theta: float = field(init=False)
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=np.float64)
@@ -45,17 +40,6 @@ class HistogramPMF:
             raise ValueError("negative bin mass")
         if abs(float(fold_sum(self.p)) - 1.0) > 1e-12:
             raise ValueError("bin masses must sum to 1")
-        self.delta_theta = 2.0 * np.pi / self.N_bins
-
-
-@dataclass(frozen=True)
-class FourierSpectrum:
-    F: np.ndarray  # k = 0 .. K_max
-    source: str    # "sample" or "binned"
-
-    @property
-    def K_max(self) -> int:
-        return self.F.shape[0] - 1
 
 
 @dataclass(frozen=True)
@@ -64,13 +48,9 @@ class EntropyReport:
     S_unfolded: float
     S_value: float
     uncertainty_sum: float
-    bound_gap: float
     renyi: dict
     chi_squared: float
-    near_uniform: dict
-    S_folded_differential: float  # S + ln(delta theta), for bound comparisons
-    fourier_source: str
-    degenerate_alignment: bool
+    alignment: Alignment  # the mu_2 rotation every entropy was taken under
 
 
 def histogram(a: AlignedAngles, weights: np.ndarray) -> HistogramPMF:
@@ -88,73 +68,29 @@ def shannon(p: HistogramPMF) -> float:
     return -float(fold_sum(q * np.log(q))) + 0.0  # avoid -0.0 on atoms
 
 
-def unfolded_entropy(s: WeightedPhaseSet, N_bins: int) -> float:
-    """Shannon entropy of the raw (undoubled) phases after mu_2/2 alignment.
-
-    The shift phi -> (phi - mu_2/2 + half bin) mod 2pi pins the dominant
-    phase pair to bin centers, so an ideal two-lobe real mode lands on
-    exactly two bins and scores ln 2.
-    """
-    if N_bins < 2:
-        raise ValueError("N_bins must be >= 2")
-    r2 = resultant(s, 2)
-    if abs(r2.Z_k) < 1e-12:
-        raise DegenerateAlignment(
-            f"|Z_2| = {abs(r2.Z_k):.3e}: unfolded alignment undefined")
-    delta = 2.0 * np.pi / N_bins
-    shifted = np.mod(s.phases - r2.mu_k / 2.0 + delta / 2.0, 2.0 * np.pi)
-    aligned = AlignedAngles(shifted, N_bins, r2.mu_k)
-    return shannon(histogram(aligned, s.weights))
-
-
-def fourier_coeffs(source, K_max: int, weights: np.ndarray | None = None
-                   ) -> FourierSpectrum:
-    """F_k for k = 0..K_max; F_0 is set to 1 exactly.
-
-    AlignedAngles source: F_k = sum w e^{-ik theta} / sum w (needs weights).
-    HistogramPMF source:  F_k = sum_b p_b e^{-ik theta_b} at bin centers.
-    """
+def fourier_coeffs(a: AlignedAngles, weights: np.ndarray, K_max: int
+                   ) -> np.ndarray:
+    """F_k = sum w e^{-ik theta} / sum w for k = 0..K_max; F_0 is 1 exactly."""
     if K_max < 1:
         raise ValueError("K_max must be >= 1")
     F = np.zeros(K_max + 1, dtype=np.complex128)
     F[0] = 1.0
-    if isinstance(source, AlignedAngles):
-        if weights is None:
-            raise ValueError("sample-form coefficients need the weights")
-        total = float(fold_sum(weights))
-        for k in range(1, K_max + 1):
-            F[k] = fold_sum(weights * np.exp(-1j * k * source.theta_shift)) / total
-        tag = "sample"
-    elif isinstance(source, HistogramPMF):
-        centers = (np.arange(source.N_bins) + 0.5) * source.delta_theta
-        for k in range(1, K_max + 1):
-            F[k] = fold_sum(source.p * np.exp(-1j * k * centers))
-        tag = "binned"
-    else:
-        raise TypeError("source must be AlignedAngles or HistogramPMF")
+    total = float(fold_sum(weights))
+    for k in range(1, K_max + 1):
+        F[k] = fold_sum(weights * np.exp(-1j * k * a.theta_shift)) / total
     mags = np.abs(F[1:])
     over = mags > 1.0  # roundoff can overshoot the unit bound by ~1 ulp
     if over.any():
         F[1:][over] /= mags[over]
-    return FourierSpectrum(F, tag)
+    return F
 
 
-def value_space_entropy(f: FourierSpectrum) -> float:
+def value_space_entropy(F: np.ndarray) -> float:
     """Shannon entropy of q_k = |F_k| / sum |F_k| over k = 0..K_max."""
-    mag = np.abs(f.F)
+    mag = np.abs(F)
     q = mag / float(fold_sum(mag))
     q = q[q > 0.0]
     return -float(fold_sum(q * np.log(q)))
-
-
-def uncertainty_sum(S_phi: float, S_k: float) -> dict:
-    """Conjugate-pair sum and its distance to log(pi e) ~ 2.1447.
-
-    The bound is a continuous-variable statement; for discrete folded
-    truncated estimators it is reported, never asserted.
-    """
-    total = S_phi + S_k
-    return {"sum": total, "bound_gap": total - LN_PI_E}
 
 
 def renyi(p: HistogramPMF, alpha: float) -> float:
@@ -172,61 +108,24 @@ def chi_squared(p: HistogramPMF) -> float:
     return max(p.N_bins * float(fold_sum(p.p * p.p)) - 1.0, 0.0)
 
 
-def near_uniform_expansion(p: HistogramPMF) -> dict:
-    delta = p.p - 1.0 / p.N_bins
-    s2 = float(fold_sum(delta * delta))
-    s3 = float(fold_sum(delta ** 3))
-    return {
-        "H1_quadratic": float(np.log(p.N_bins)) - 0.5 * p.N_bins * s2,
-        "delta_l2": float(np.sqrt(s2)),
-        "third_order_term": p.N_bins**2 * s3 / 6.0,
-    }
-
-
 def entropy_report(s: WeightedPhaseSet, N_bins: int = 720, K_max: int = 50,
-                   alphas: tuple = (1.0, 1.5, 2.0),
-                   fourier_source: str = "sample") -> EntropyReport:
+                   alphas: tuple = (1.0, 1.5, 2.0)) -> EntropyReport:
     """Full scorecard of one phase set.
 
-    A degenerate alignment (R_2 ~ 0, the self-orthogonal regime) falls back
-    to zero offset and flags the report instead of failing: that is exactly
-    the regime sweeps need to cross.
+    A degenerate alignment (R_2 ~ 0, the self-orthogonal regime) takes zero
+    offset and flags the report instead of failing: that is exactly the
+    regime sweeps need to cross.
     """
-    if fourier_source not in ("sample", "binned"):
-        raise ValueError("fourier_source must be 'sample' or 'binned'")
-    delta = 2.0 * np.pi / N_bins
-    degenerate = False
-    try:
-        aligned = doubled_align(s, N_bins)
-    except DegenerateAlignment:
-        degenerate = True
-        theta = np.mod(np.mod(2.0 * s.phases, 2.0 * np.pi) + delta / 2.0,
-                       2.0 * np.pi)
-        aligned = AlignedAngles(theta, N_bins, 0.0)
-    pmf = histogram(aligned, s.weights)
+    al = align(s, N_bins)
+    pmf = histogram(al.doubled, s.weights)
     s_folded = shannon(pmf)
-    if degenerate:
-        shifted = np.mod(s.phases + delta / 2.0, 2.0 * np.pi)
-        s_unfolded = shannon(histogram(AlignedAngles(shifted, N_bins, 0.0),
-                                       s.weights))
-    else:
-        s_unfolded = unfolded_entropy(s, N_bins)
-    if fourier_source == "sample":
-        spec = fourier_coeffs(aligned, K_max, s.weights)
-    else:
-        spec = fourier_coeffs(pmf, K_max)
-    s_value = value_space_entropy(spec)
-    us = uncertainty_sum(s_folded, s_value)
+    s_value = value_space_entropy(fourier_coeffs(al.doubled, s.weights, K_max))
     return EntropyReport(
         S_folded=s_folded,
-        S_unfolded=s_unfolded,
+        S_unfolded=shannon(histogram(al.unfolded, s.weights)),
         S_value=s_value,
-        uncertainty_sum=us["sum"],
-        bound_gap=us["bound_gap"],
+        uncertainty_sum=s_folded + s_value,
         renyi={float(a): renyi(pmf, float(a)) for a in alphas},
         chi_squared=chi_squared(pmf),
-        near_uniform=near_uniform_expansion(pmf),
-        S_folded_differential=s_folded + float(np.log(delta)),
-        fourier_source=spec.source,
-        degenerate_alignment=degenerate,
+        alignment=al,
     )

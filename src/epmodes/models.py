@@ -146,11 +146,6 @@ class Mode:
     def h(self) -> float:
         return self.geometry.h if self.geometry is not None else 1.0
 
-    def grid_values(self) -> np.ndarray:
-        if self.geometry is None:
-            raise ValueError("two-level modes have no grid")
-        return self.geometry.embed(self.psi)
-
 
 def two_level_hamiltonian(p: TwoLevelParams) -> np.ndarray:
     return np.array([[p.delta - 1j * p.gamma, p.g],
@@ -180,10 +175,12 @@ def build_ellipse_grid(spec: CavitySpec) -> GridGeometry:
 
 
 class CavityOperator(SparseOperator):
-    """SparseOperator that remembers the geometry it was assembled on."""
+    """Complex-symmetric SparseOperator on the interior points of `geometry`,
+    which it keeps (with its spec) for turning eigenvectors into Modes."""
 
-    geometry: GridGeometry | None = None
-    spec: CavitySpec | None = None
+    def __init__(self, geometry: GridGeometry, rows, cols, vals):
+        super().__init__(geometry.npts, rows, cols, vals, symmetric=True)
+        self.geometry = geometry
 
 
 def neighbor_view(arr: np.ndarray, dx: int, dy: int, fill) -> np.ndarray:
@@ -230,29 +227,28 @@ def assemble_helmholtz(geom: GridGeometry, spec: CavitySpec) -> CavityOperator:
         vals.append(np.full(int(both.sum()), -1.0 / h2))
     if spec.variant == "open" and spec.cap_strength > 0.0:
         diag = diag - 1j * spec.cap_strength * geom.cap_profile[mask]
-    op = CavityOperator(geom.npts, np.concatenate(rows), np.concatenate(cols),
-                        np.concatenate([diag] + vals), symmetric=True)
-    op.geometry = geom
-    op.spec = spec
-    return op
+    return CavityOperator(geom, np.concatenate(rows), np.concatenate(cols),
+                          np.concatenate([diag] + vals))
 
 
-def solve_cavity_modes(op: SparseOperator, k_target: float, m: int,
+def solve_cavity_modes(op: CavityOperator, k_target: float, m: int,
                        tol: float = 1e-10, max_iter: int = 400) -> list[Mode]:
     """m modes with k nearest k_target, via shift-invert at shift = k_target^2.
 
-    Eigenvalues convert through k = sqrt(lambda) on the principal branch
-    (Re k >= 0); for absorbing cavities Im lambda < 0 puts Im k < 0.
+    The operator must come from assemble_helmholtz: the modes live on its
+    geometry, and the geometry's spec names their variant. Eigenvalues
+    convert through k = sqrt(lambda) on the principal branch (Re k >= 0);
+    for absorbing cavities Im lambda < 0 puts Im k < 0.
     """
     if not k_target > 0:
         raise ValueError("k_target must be positive")
-    geom = getattr(op, "geometry", None)
-    spec = getattr(op, "spec", None)
-    if geom is None or spec is None:
+    if not isinstance(op, CavityOperator):
         raise ValueError("operator lacks geometry; use assemble_helmholtz")
+    geom = op.geometry
     shift = k_target * k_target
     pairs = shift_invert_eigs(op, shift, m, tol=tol, max_iter=max_iter)
-    provenance = "cavity_open" if spec.variant == "open" else "cavity_closed"
+    provenance = ("cavity_open" if geom.spec.variant == "open"
+                  else "cavity_closed")
     out = []
     for q in pairs:
         k = complex(np.sqrt(np.complex128(q.eigenvalue)))

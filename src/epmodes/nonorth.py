@@ -1,4 +1,4 @@
-"""Non-orthogonality diagnostics: phase rigidity, Petermann factor, linewidth.
+"""Non-orthogonality diagnostics: phase rigidity and Petermann factor.
 
 For complex-symmetric operators the left eigenvector is the transpose of the
 right one, so the rigidity collapses to r = sum psi^2 / sum |psi|^2 and its
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 
-from .circstats import WeightedPhaseSet, fold_sum, resultant
+from .circstats import fold_sum
 from .models import Mode
 
 PETERMANN_CUTOFF = 1e-10  # below this |r|, 1/r^2 is declared infinite
@@ -23,7 +23,6 @@ class RigidityReport:
     r_complex: complex
     r_abs: float
     K: float
-    linewidth_factor: float | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.r_abs <= 1.0):
@@ -44,20 +43,6 @@ def phase_rigidity_cs(m: Mode) -> complex:
     return complex(num / den)
 
 
-def phase_rigidity_biorth(vR: np.ndarray, vL: np.ndarray) -> float:
-    """|<vL|vR>| / sqrt(<vR|vR> <vL|vL>), invariant under rescaling either."""
-    vR = np.asarray(vR, dtype=np.complex128)
-    vL = np.asarray(vL, dtype=np.complex128)
-    if vR.shape != vL.shape or vR.ndim != 1:
-        raise ValueError("vectors must be equal-length 1-D")
-    nr = float(fold_sum(np.abs(vR) ** 2))
-    nl = float(fold_sum(np.abs(vL) ** 2))
-    if not (nr > 0.0 and nl > 0.0):
-        raise ValueError("vectors must be nonzero")
-    overlap = fold_sum(np.conj(vL) * vR)
-    return min(abs(overlap) / np.sqrt(nr * nl), 1.0)
-
-
 def petermann(r_abs: float) -> float:
     if not (0.0 <= r_abs <= 1.0):
         raise ValueError("r_abs must lie in [0, 1]")
@@ -66,22 +51,8 @@ def petermann(r_abs: float) -> float:
     return 1.0 / (r_abs * r_abs)
 
 
-def petermann_from_r2(s: WeightedPhaseSet) -> float:
-    return petermann(resultant(s, 2).R_k)
-
-
-def linewidth(K: float, delta_nu_ST: float) -> float:
-    """Enhanced linewidth K * delta_nu_ST; the +inf flag always propagates."""
-    if K < 0 or delta_nu_ST < 0:
-        raise ValueError("inputs must be nonnegative")
-    if np.isinf(K):
-        return float("inf")
-    return K * delta_nu_ST
-
-
-def rigidity_report(m: Mode, delta_nu_ST: float | None = None) -> RigidityReport:
+def rigidity_report(m: Mode) -> RigidityReport:
     r = phase_rigidity_cs(m)
     r_abs = min(abs(r), 1.0)
     K = petermann(r_abs)
-    lw = linewidth(K, delta_nu_ST) if delta_nu_ST is not None else None
-    return RigidityReport(r, r_abs, K, lw)
+    return RigidityReport(r, r_abs, K)

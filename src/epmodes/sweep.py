@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circstats import (
-    DegenerateAlignment,
-    aligned_lobe_imbalance,
-    extract_phases,
-    lobe_imbalance,
-    resultant,
-)
+from .circstats import extract_phases
 from .entropy import entropy_report
 from .linalg import NoConvergence, SingularShift
 from .models import (
@@ -151,25 +145,20 @@ class SweepRecord:
 
 def mode_diagnostics(m, N_bins: int = 720, K_max: int = 50,
                      alphas: tuple = (1.0, 1.5, 2.0),
-                     node_cutoff: float = 1e-12,
-                     fourier_source: str = "sample") -> ModeDiagnostics:
-    """Every per-mode scalar the sweep records, from one solved mode."""
+                     node_cutoff: float = 1e-12) -> ModeDiagnostics:
+    """Every per-mode scalar the sweep records, from one solved mode.
+
+    R1, R2 and the entropies all come from the report's one mu_2 alignment.
+    """
     s = extract_phases(m, node_cutoff)
-    rep = entropy_report(s, N_bins, K_max, alphas, fourier_source)
+    rep = entropy_report(s, N_bins, K_max, alphas)
     rig = rigidity_report(m)
-    r2 = resultant(s, 2).R_k
-    try:
-        r1 = aligned_lobe_imbalance(s)
-    except DegenerateAlignment:
-        # self-orthogonal regime: no preferred alignment exists, report the
-        # raw zero-offset split, consistent with the entropy fallback
-        r1 = lobe_imbalance(s)
     lam = complex(m.eigen_k)
     return ModeDiagnostics(
         re_eigenvalue=lam.real,
         im_eigenvalue=lam.imag,
-        R1=r1,
-        R2=r2,
+        R1=rep.alignment.R1,
+        R2=rep.alignment.R2,
         r_abs=rig.r_abs,
         K=rig.K,
         S_folded=rep.S_folded,
@@ -178,7 +167,7 @@ def mode_diagnostics(m, N_bins: int = 720, K_max: int = 50,
         uncertainty_sum=rep.uncertainty_sum,
         renyi=dict(rep.renyi),
         chi_squared=rep.chi_squared,
-        degenerate_alignment=rep.degenerate_alignment,
+        degenerate_alignment=rep.alignment.degenerate,
     )
 
 
@@ -250,22 +239,34 @@ def _solve_point(cfg: SweepConfig, x: float) -> list:
     return solve_cavity_modes(op, cfg.k_target, cfg.m)
 
 
-def run_sweep(cfg: SweepConfig) -> list:
-    """One record per grid point, in grid order.
+def solve_points(cfg: SweepConfig):
+    """Yield (x, modes, error) for each grid point, in grid order.
 
-    Solver failures mark their row and the sweep keeps going: shifts near a
-    degeneracy can be close to singular, and that neighborhood is exactly
-    the region under study. Tracking is an ordered reduction over the
-    successful points, so a failed point tracks across the gap.
+    A solver failure yields no modes and an error naming its cause, and the
+    walk keeps going: shifts near a degeneracy can be close to singular, and
+    that neighborhood is exactly the region under study.
     """
-    records = []
-    prev = None
     for x in cfg.grid.tolist():
         try:
             modes = _solve_point(cfg, x)
         except (SingularShift, NoConvergence, GridTooCoarse) as exc:
-            records.append(
-                SweepRecord(x, [], f"{type(exc).__name__}: {exc}"))
+            yield x, [], f"{type(exc).__name__}: {exc}"
+            continue
+        yield x, modes, None
+
+
+def run_sweep(cfg: SweepConfig) -> list:
+    """One record per grid point, in grid order.
+
+    Failed points keep their row with its error. Tracking is an ordered
+    reduction over the successful points, so a failed point tracks across
+    the gap.
+    """
+    records = []
+    prev = None
+    for x, modes, error in solve_points(cfg):
+        if error is not None:
+            records.append(SweepRecord(x, [], error))
             continue
         ambiguous = False
         if prev is not None:

@@ -9,15 +9,16 @@ from epmodes.models import (
 )
 from epmodes.circstats import (
     WeightedPhaseSet,
+    AlignedAngles,
     EmptySet,
-    DegenerateAlignment,
     extract_phases,
     resultant,
-    doubled_align,
+    align,
     lobe_imbalance,
-    aligned_lobe_imbalance,
     current_field,
 )
+from epmodes.entropy import histogram, shannon
+from epmodes.sweep import mode_diagnostics
 
 TWO_PI = 2.0 * np.pi
 
@@ -107,7 +108,7 @@ class TestResultant:
 class TestDoubledAlign:
     def test_real_mode_atom_at_half_bin(self):
         s = WeightedPhaseSet(np.array([0.0, np.pi]), np.array([0.6, 0.4]))
-        a = doubled_align(s, 720)
+        a = align(s, 720).doubled
         delta = TWO_PI / 720
         # exact up to trig roundoff: sin(2 pi) rounds to ~2e-16, not 0
         assert np.allclose(a.theta_shift, delta / 2.0, atol=1e-12)
@@ -116,31 +117,43 @@ class TestDoubledAlign:
         rng = np.random.default_rng(9)
         phi = rng.random(40) * TWO_PI
         w = rng.random(40) + 0.01
-        a0 = doubled_align(WeightedPhaseSet(phi, w), 720)
-        a1 = doubled_align(
-            WeightedPhaseSet(np.mod(phi + 0.37, TWO_PI), w), 720)
+        a0 = align(WeightedPhaseSet(phi, w), 720).doubled
+        a1 = align(WeightedPhaseSet(np.mod(phi + 0.37, TWO_PI), w),
+                   720).doubled
         assert np.all(circ_dist(a0.theta_shift, a1.theta_shift) < 1e-12)
 
     def test_ep_set_degenerate(self):
-        s = WeightedPhaseSet(np.array([0.0, np.pi / 2.0]),
-                             np.array([0.5, 0.5]))
-        with pytest.raises(DegenerateAlignment):
-            doubled_align(s, 720)
+        # at the gamma = 2g EP, |Z_2| = 0: the offset is 0 and flagged, and
+        # the row equals the zero-offset folded, unfolded and lobe values
+        m = two_level_modes(TwoLevelParams(0.0, 1.0, 2.0))[0]
+        s = extract_phases(m)
+        a = align(s, 720)
+        assert a.degenerate and a.mu2 == 0.0
+        half = TWO_PI / 720 / 2.0
+        folded = np.mod(np.mod(2.0 * s.phases, TWO_PI) + half, TWO_PI)
+        unfolded = np.mod(s.phases + half, TWO_PI)
+        row = mode_diagnostics(m)
+        assert row.degenerate_alignment
+        assert row.R1 == lobe_imbalance(s.phases, s.weights)
+        assert row.S_folded == shannon(
+            histogram(AlignedAngles(folded, 720), s.weights))
+        assert row.S_unfolded == shannon(
+            histogram(AlignedAngles(unfolded, 720), s.weights))
 
     def test_bin_validation(self):
         s = WeightedPhaseSet(np.array([0.1]), np.array([1.0]))
         with pytest.raises(ValueError):
-            doubled_align(s, 1)
+            align(s, 1)
 
 
 class TestLobeImbalance:
     def test_balanced(self):
         s = WeightedPhaseSet(np.array([0.0, np.pi]), np.array([0.5, 0.5]))
-        assert lobe_imbalance(s) == 0.0
+        assert lobe_imbalance(s.phases, s.weights) == 0.0
 
     def test_unbalanced(self):
         s = WeightedPhaseSet(np.array([0.0, np.pi]), np.array([0.8, 0.2]))
-        assert abs(lobe_imbalance(s) - 0.6) < 1e-12
+        assert abs(lobe_imbalance(s.phases, s.weights) - 0.6) < 1e-12
 
     def test_matches_r1_for_two_valued_sets(self):
         rng = np.random.default_rng(13)
@@ -149,18 +162,19 @@ class TestLobeImbalance:
             phi = np.where(rng.random(n) < 0.5, 0.0, np.pi)
             w = rng.random(n) + 0.01
             s = WeightedPhaseSet(phi, w)
-            assert abs(lobe_imbalance(s) - resultant(s, 1).R_k) < 1e-12
+            assert abs(lobe_imbalance(s.phases, s.weights)
+                       - resultant(s, 1).R_k) < 1e-12
 
     def test_quarter_turn_excluded(self):
         s = WeightedPhaseSet(np.array([0.0, np.pi / 2.0, np.pi]),
                              np.array([0.5, 7.0, 0.3]))
-        assert abs(lobe_imbalance(s) - 0.25) < 1e-12
+        assert abs(lobe_imbalance(s.phases, s.weights) - 0.25) < 1e-12
 
     def test_both_lobes_empty(self):
         s = WeightedPhaseSet(np.array([np.pi / 2.0, 3.0 * np.pi / 2.0]),
                              np.array([1.0, 1.0]))
         with pytest.raises(EmptySet):
-            lobe_imbalance(s)
+            lobe_imbalance(s.phases, s.weights)
 
 
 @pytest.fixture(scope="module")
@@ -231,11 +245,13 @@ class TestModeIdentities:
         b = extract_phases(make_mode(psi * np.exp(1.9j)))
         for k in (1, 2, 4):
             assert abs(resultant(a, k).R_k - resultant(b, k).R_k) < 1e-12
-        assert abs(aligned_lobe_imbalance(a) - aligned_lobe_imbalance(b)) < 1e-12
-        ta = doubled_align(a, 720).theta_shift
-        tb = doubled_align(b, 720).theta_shift
+        aa, ab = align(a, 720), align(b, 720)
+        assert abs(aa.R1 - ab.R1) < 1e-12
+        ta = aa.doubled.theta_shift
+        tb = ab.doubled.theta_shift
         assert np.all(circ_dist(ta, tb) < 1e-12)
 
     def test_aligned_lobes_match_raw_for_real_modes(self):
         s = WeightedPhaseSet(np.array([0.0, np.pi]), np.array([0.8, 0.2]))
-        assert abs(aligned_lobe_imbalance(s) - lobe_imbalance(s)) < 1e-12
+        assert abs(align(s, 720).R1
+                   - lobe_imbalance(s.phases, s.weights)) < 1e-12

@@ -94,15 +94,18 @@ class TestSweepCommand:
         assert main(["sweep", str(tmp_path / "absent.cfg")]) == 4
         assert "absent.cfg" in capsys.readouterr().err
 
-    def test_all_points_failing_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["sweep", "solve"])
+    def test_all_points_failing_exit_code(self, command, tmp_path, capsys):
         # an h this coarse leaves too few interior points at every epsilon
         path = tmp_path / "coarse.cfg"
         path.write_text("[model]\nmodel = cavity\nh = 0.5\n"
                         "[sweep]\nepsilon_range = 0.1:0.12:0.02\n")
-        assert main(["sweep", str(path), "--out-dir", str(tmp_path)]) == 3
+        out = tmp_path / "out"
+        assert main([command, str(path), "--out-dir", str(out)]) == 3
         err = capsys.readouterr().err
         assert "GridTooCoarse" in err
         assert "every grid point" in err
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestSolveAndAnalyze:
@@ -153,6 +156,22 @@ class TestSolveAndAnalyze:
         assert main(["analyze", target, "--alpha", "1,4"]) == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert "renyi_4" in header and "renyi_1.5" not in header
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n-bins", "1", "N_bins must be >= 2"),
+        ("--k-max", "0", "K_max must be >= 1"),
+        ("--alpha", "0", "alpha must be positive"),
+        ("--alpha", "1,-2", "alpha must be positive"),
+        ("--node-cutoff", "1.5", "node_cutoff must lie in [0, 1)"),
+    ], ids=["n_bins", "k_max", "alpha_zero", "alpha_negative", "node_cutoff"])
+    def test_analyze_flag_out_of_range(self, config_path, tmp_path, capsys,
+                                       flag, value, message):
+        out = tmp_path / "modes"
+        main(["solve", config_path, "--out-dir", str(out)])
+        capsys.readouterr()
+        target = str(out / "mode_p0000_m0.ep")
+        assert main(["analyze", target, flag, value]) == 2
+        assert message in capsys.readouterr().err
 
     def test_analyze_missing_file(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "no.ep")]) == 4

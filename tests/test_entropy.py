@@ -9,22 +9,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epmodes.circstats import (
-    WeightedPhaseSet, AlignedAngles, DegenerateAlignment,
-    extract_phases, doubled_align, resultant,
+    WeightedPhaseSet, AlignedAngles,
+    extract_phases, align, resultant,
 )
 from epmodes.models import Mode, TwoLevelParams, two_level_modes
 from epmodes.entropy import (
     HistogramPMF,
-    LN_PI_E,
     histogram,
     shannon,
-    unfolded_entropy,
     fourier_coeffs,
     value_space_entropy,
-    uncertainty_sum,
     renyi,
     chi_squared,
-    near_uniform_expansion,
     entropy_report,
 )
 
@@ -53,7 +49,16 @@ def uniform_pmf(n=N):
 
 
 def angles(theta, n_bins=N):
-    return AlignedAngles(np.asarray(theta, dtype=float), n_bins, 0.0)
+    return AlignedAngles(np.asarray(theta, dtype=float), n_bins)
+
+
+def unfolded_entropy(s, n_bins=N):
+    return shannon(histogram(align(s, n_bins).unfolded, s.weights))
+
+
+# 720 equal-weight samples at the bin centers: the uniform binned set in
+# sample form
+UNIFORM_THETA = (np.arange(N) + 0.5) * TWO_PI / N
 
 
 class TestHistogram:
@@ -127,7 +132,7 @@ class TestUnfolded:
 
     def test_folded_same_input_is_zero(self):
         s = WeightedPhaseSet(np.array([0.0, np.pi]), np.array([0.5, 0.5]))
-        a = doubled_align(s, N)
+        a = align(s, N).doubled
         assert shannon(histogram(a, s.weights)) == 0.0
 
     def test_rotation_invariance(self):
@@ -139,80 +144,67 @@ class TestUnfolded:
         assert abs(unfolded_entropy(s0, N) - unfolded_entropy(s1, N)) < 1e-12
 
     def test_degenerate_raises(self):
+        # |Z_2| = 0 no longer raises: the alignment is flagged degenerate and
+        # the unfolded histogram is the one taken at offset 0
         s = WeightedPhaseSet(np.array([0.0, np.pi / 2.0]),
                              np.array([0.5, 0.5]))
-        with pytest.raises(DegenerateAlignment):
-            unfolded_entropy(s, N)
+        a = align(s, N)
+        assert a.degenerate and a.mu2 == 0.0
+        zero = np.mod(s.phases + TWO_PI / N / 2.0, TWO_PI)
+        want = shannon(histogram(angles(zero), s.weights))
+        assert unfolded_entropy(s, N) == want
+        assert abs(want - np.log(2.0)) < 1e-12
 
 
 class TestFourier:
     def test_uniform_binned_vanishes(self):
-        f = fourier_coeffs(uniform_pmf(), 50)
-        assert np.abs(f.F[1:]).max() < 1e-12
-        assert f.F[0] == 1.0 and f.source == "binned"
+        F = fourier_coeffs(angles(UNIFORM_THETA), np.ones(N), 50)
+        assert np.abs(F[1:]).max() < 1e-12
+        assert F[0] == 1.0
 
     def test_two_atom_parity_pattern(self):
         a = angles([0.0, np.pi])
-        f = fourier_coeffs(a, 50, weights=np.array([0.5, 0.5]))
+        F = fourier_coeffs(a, np.array([0.5, 0.5]), 50)
         k = np.arange(51)
         want = (1.0 + (-1.0) ** k) / 2.0
-        assert np.allclose(np.abs(f.F), want, atol=1e-12)
-        assert f.source == "sample"
+        assert np.allclose(np.abs(F), want, atol=1e-12)
 
     def test_sample_f1_matches_resultant(self):
         rng = np.random.default_rng(59)
         phi = rng.random(80) * TWO_PI
         w = rng.random(80) + 0.01
         s = WeightedPhaseSet(phi, w)
-        a = doubled_align(s, N)
-        f = fourier_coeffs(a, 10, weights=w)
+        a = align(s, N).doubled
+        F = fourier_coeffs(a, w, 10)
         doubled = WeightedPhaseSet(a.theta_shift, w)
         for k in range(1, 11):
-            assert abs(abs(f.F[k]) - resultant(doubled, k).R_k) < 1e-12
+            assert abs(abs(F[k]) - resultant(doubled, k).R_k) < 1e-12
 
     def test_magnitude_bound(self):
         rng = np.random.default_rng(61)
-        f = fourier_coeffs(random_pmf(rng), 50)
-        assert np.all(np.abs(f.F) <= 1.0)
+        for _ in range(20):
+            theta = rng.random(N) * TWO_PI
+            F = fourier_coeffs(angles(theta), rng.random(N) + 1e-9, 50)
+            assert np.all(np.abs(F) <= 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            fourier_coeffs(uniform_pmf(), 0)
-        with pytest.raises(ValueError):
-            fourier_coeffs(angles([0.1]), 5)  # sample form needs weights
-        with pytest.raises(TypeError):
-            fourier_coeffs(np.zeros(3), 5)
+            fourier_coeffs(angles([0.1]), np.ones(1), 0)
 
 
 class TestValueSpace:
     def test_delta_gives_log_kmax_plus_one(self):
-        f = fourier_coeffs(delta_pmf(), 50)
-        assert abs(value_space_entropy(f) - np.log(51.0)) < 1e-12
+        F = fourier_coeffs(angles([0.3]), np.array([2.0]), 50)
+        assert abs(value_space_entropy(F) - np.log(51.0)) < 1e-12
 
     def test_uniform_gives_zero(self):
-        f = fourier_coeffs(uniform_pmf(), 50)
-        assert value_space_entropy(f) < 1e-10
+        F = fourier_coeffs(angles(UNIFORM_THETA), np.ones(N), 50)
+        assert value_space_entropy(F) < 1e-10
 
     def test_two_atom_gives_log_26(self):
         a = angles([0.0, np.pi])
-        f = fourier_coeffs(a, 50, weights=np.array([0.5, 0.5]))
-        assert abs(value_space_entropy(f) - np.log(26.0)) < 1e-12
-
-
-class TestUncertaintySum:
-    def test_two_point_case(self):
-        u = uncertainty_sum(0.693, 0.0)
-        assert u["sum"] == 0.693 and u["bound_gap"] < 0.0
-
-    def test_uniform_case(self):
-        u = uncertainty_sum(6.579, 0.0)
-        assert abs(u["bound_gap"] - 4.434) < 1e-3
-
-    def test_symmetry(self):
-        assert uncertainty_sum(1.3, 0.4) == uncertainty_sum(0.4, 1.3)
-
-    def test_bound_constant(self):
-        assert abs(LN_PI_E - 2.1447) < 1e-4
+        F = fourier_coeffs(a, np.array([0.5, 0.5]), 50)
+        assert abs(value_space_entropy(F) - np.log(26.0)) < 1e-12
 
 
 class TestRenyi:
@@ -299,27 +291,6 @@ class TestChiSquared:
             assert abs(lhs - rhs) < 1e-10 * max(1.0, rhs)
 
 
-class TestNearUniform:
-    def test_uniform(self):
-        r = near_uniform_expansion(uniform_pmf())
-        assert abs(r["H1_quadratic"] - np.log(720.0)) < 1e-12
-        assert r["delta_l2"] < 1e-15
-        assert abs(r["third_order_term"]) < 1e-15
-
-    def test_quadratic_tracks_shannon(self):
-        rng = np.random.default_rng(97)
-        n = N
-        for _ in range(20):
-            d = rng.standard_normal(n)
-            d -= d.mean()
-            d *= 8e-4 / np.sqrt((d * d).sum())
-            p = pmf(1.0 / n + d)
-            r = near_uniform_expansion(p)
-            bound = (n**2 / 6.0) * np.abs(d**3).sum() \
-                + 10.0 * n**3 * (d**4).sum()
-            assert abs(shannon(p) - r["H1_quadratic"]) <= bound
-
-
 class TestEntropyReport:
     def test_real_balanced_mode(self):
         # the antisymmetric eigenvector (1,-1)/sqrt2 is the two-lobe one;
@@ -331,24 +302,14 @@ class TestEntropyReport:
         assert rep.S_folded == 0.0
         assert abs(rep.S_unfolded - np.log(2.0)) < 1e-9
         assert abs(rep.S_value - np.log(51.0)) < 1e-9
-        assert not rep.degenerate_alignment
-        assert rep.fourier_source == "sample"
+        assert not rep.alignment.degenerate
         assert abs(rep.uncertainty_sum - (rep.S_folded + rep.S_value)) < 1e-15
-        assert abs(rep.S_folded_differential
-                   - (rep.S_folded + np.log(TWO_PI / 720))) < 1e-15
 
     def test_ep_mode_flags_degenerate(self):
         m = two_level_modes(TwoLevelParams(0.0, 1.0, 2.0))[0]
         rep = entropy_report(extract_phases(m))
-        assert rep.degenerate_alignment
+        assert rep.alignment.degenerate
         assert np.isfinite(rep.S_folded)
-
-    def test_binned_source(self):
-        m = two_level_modes(TwoLevelParams(0.4, 1.0, 1.0))[0]
-        rep = entropy_report(extract_phases(m), fourier_source="binned")
-        assert rep.fourier_source == "binned"
-        with pytest.raises(ValueError):
-            entropy_report(extract_phases(m), fourier_source="dft")
 
     def test_renyi_map_keys(self):
         m = two_level_modes(TwoLevelParams(0.4, 1.0, 1.0))[0]

@@ -5,6 +5,7 @@ never calls it. Analytic eigenvalues of the 1-D Dirichlet Laplacian and the
 2x2 quadratic formula pin the physics-facing examples.
 """
 
+import ast
 import cmath
 import re
 from pathlib import Path
@@ -293,4 +294,17 @@ def test_src_never_names_numpy_linalg():
             for path in sorted(src.rglob("*.py"))
             for i, line in enumerate(path.read_text().splitlines(), 1)
             if named.search(line)]
+    assert hits == []
+
+
+def test_src_never_imports_private_sibling_names():
+    # a module's underscore names are its own; a sibling that needs one
+    # needs a public name instead
+    pkg = Path(__file__).resolve().parent.parent / "src" / "epmodes"
+    hits = [f"{path.name}:{node.lineno} {alias.name}"
+            for path in sorted(pkg.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").startswith("epmodes"))
+            for alias in node.names if alias.name.startswith("_")]
     assert hits == []

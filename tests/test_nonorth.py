@@ -1,4 +1,4 @@
-"""Rigidity, Petermann factor, and linewidth checks.
+"""Rigidity and Petermann factor checks.
 
 The two-level oracle values come from the closed-form eigenpair computed
 with cmath inside the test, never from the package under test.
@@ -9,7 +9,9 @@ import cmath
 import numpy as np
 import pytest
 
-from epmodes.circstats import WeightedPhaseSet, extract_phases, resultant
+from epmodes.circstats import (
+    WeightedPhaseSet, extract_phases, fold_sum, resultant,
+)
 from epmodes.models import (
     CavitySpec, TwoLevelParams,
     assemble_helmholtz, build_ellipse_grid, solve_cavity_modes,
@@ -18,10 +20,7 @@ from epmodes.models import (
 from epmodes.nonorth import (
     PETERMANN_CUTOFF,
     RigidityReport,
-    linewidth,
     petermann,
-    petermann_from_r2,
-    phase_rigidity_biorth,
     phase_rigidity_cs,
     rigidity_report,
 )
@@ -32,6 +31,21 @@ def make_mode(psi):
     psi = np.asarray(psi, dtype=np.complex128)
     psi = psi / np.sqrt(np.sum(np.abs(psi) ** 2))
     return Mode(None, psi, 1.0 + 0.0j, "two_level")
+
+
+def phase_rigidity_biorth(vR, vL):
+    """|<vL|vR>| / sqrt(<vR|vR> <vL|vL>), invariant under rescaling either;
+    the general biorthogonal form the complex-symmetric one must reduce to."""
+    vR = np.asarray(vR, dtype=np.complex128)
+    vL = np.asarray(vL, dtype=np.complex128)
+    if vR.shape != vL.shape or vR.ndim != 1:
+        raise ValueError("vectors must be equal-length 1-D")
+    nr = float(fold_sum(np.abs(vR) ** 2))
+    nl = float(fold_sum(np.abs(vL) ** 2))
+    if not (nr > 0.0 and nl > 0.0):
+        raise ValueError("vectors must be nonzero")
+    overlap = fold_sum(np.conj(vL) * vR)
+    return min(abs(overlap) / np.sqrt(nr * nl), 1.0)
 
 
 def two_level_oracle(delta, g, gamma):
@@ -121,12 +135,12 @@ class TestPetermann:
 
     def test_from_r2_real_mode(self):
         s = WeightedPhaseSet(np.array([0.0, np.pi]), np.array([0.5, 0.5]))
-        assert abs(petermann_from_r2(s) - 1.0) < 1e-12
+        assert abs(petermann(resultant(s, 2).R_k) - 1.0) < 1e-12
 
     def test_from_r2_ep_set(self):
         s = WeightedPhaseSet(np.array([0.0, np.pi / 2.0]),
                              np.array([0.5, 0.5]))
-        assert petermann_from_r2(s) == float("inf")
+        assert petermann(resultant(s, 2).R_k) == float("inf")
 
     def test_routes_agree_on_random_modes(self):
         # K via |sum psi^2| against K via the doubled resultant; same number
@@ -136,23 +150,8 @@ class TestPetermann:
             psi = rng.standard_normal(40) + 1j * rng.standard_normal(40)
             m = make_mode(psi)
             k_cs = petermann(min(abs(phase_rigidity_cs(m)), 1.0))
-            k_r2 = petermann_from_r2(extract_phases(m))
+            k_r2 = petermann(resultant(extract_phases(m), 2).R_k)
             assert abs(k_cs - k_r2) < 1e-10 * k_cs
-
-
-class TestLinewidth:
-    def test_examples(self):
-        assert linewidth(1.0, 1.0) == 1.0
-        assert linewidth(4.0, 0.5) == 2.0
-
-    def test_inf_propagates_even_through_zero(self):
-        assert linewidth(float("inf"), 0.0) == float("inf")
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            linewidth(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            linewidth(1.0, -1.0)
 
 
 class TestRigidityReport:
@@ -168,12 +167,6 @@ class TestRigidityReport:
         m = two_level_modes(TwoLevelParams(0.0, 1.0, 2.0))[0]
         rep = rigidity_report(m)
         assert rep.K == float("inf") and rep.r_abs < 1e-12
-
-    def test_linewidth_factor(self):
-        m = two_level_modes(TwoLevelParams(1.0, 1.0, 2.0))[0]
-        rep = rigidity_report(m, delta_nu_ST=2.0)
-        assert abs(rep.linewidth_factor - 2.0 * rep.K) < 1e-12
-        assert rigidity_report(m).linewidth_factor is None
 
     def test_inconsistent_constructor_rejected(self):
         with pytest.raises(ValueError):
