@@ -40,51 +40,10 @@ def _read_text(path: str) -> str:
         raise OSError(f"cannot read {path}: {exc}") from exc
 
 
-def _apply_overrides(text: str, overrides: list) -> str:
-    """Rewrite config text with section.key=value overrides applied.
-
-    An override replaces the key's line if the section already sets it,
-    otherwise it is inserted into the section (appending the section when
-    the file lacks it); validity of the key itself is left to the parser.
-    """
-    for item in overrides:
-        head, eq, value = item.partition("=")
-        if not eq or "." not in head:
-            raise ValidationError(item, "expected section.key=value")
-        section, _, key = head.strip().partition(".")
-        key = key.strip()
-        lines = text.splitlines()
-        out = []
-        in_section = False
-        done = False
-        for line in lines:
-            stripped = line.strip()
-            if stripped.startswith("[") and stripped.endswith("]"):
-                if in_section and not done:
-                    out.append(f"{key} = {value.strip()}")
-                    done = True
-                in_section = stripped[1:-1].strip() == section
-                out.append(line)
-                continue
-            if (in_section and not done and "=" in stripped
-                    and not stripped.startswith("#")
-                    and stripped.partition("=")[0].strip() == key):
-                out.append(f"{key} = {value.strip()}")
-                done = True
-                continue
-            out.append(line)
-        if not done:
-            if not in_section:
-                out.append(f"[{section}]")
-            out.append(f"{key} = {value.strip()}")
-        text = "\n".join(out)
-    return text
-
-
 def _load_config(args):
     text = _read_text(args.config)
-    text = _apply_overrides(text, args.override or [])
-    return parse_config(text), parse_output_options(text)
+    overrides = args.override or ()
+    return parse_config(text, overrides), parse_output_options(text, overrides)
 
 
 def _report_failures(records) -> int:

@@ -53,14 +53,15 @@ class EntropyReport:
     alignment: Alignment  # the mu_2 rotation every entropy was taken under
 
 
-def histogram(a: AlignedAngles, weights: np.ndarray) -> HistogramPMF:
-    """Accumulate weights into bin b = floor(theta / delta), normalize."""
+def histogram(a: AlignedAngles, s: WeightedPhaseSet) -> HistogramPMF:
+    """Accumulate s's weights into bin b = floor(theta / delta), normalize
+    by its total weight; a holds the aligned angles of s."""
     n = a.N_bins
     bins = np.floor(a.theta_shift * n / (2.0 * np.pi)).astype(np.int64)
     bins = np.minimum(bins, n - 1)  # guards theta rounding up to exactly 2pi
     masses = np.zeros(n)
-    np.add.at(masses, bins, weights)
-    return HistogramPMF(n, masses / float(fold_sum(weights)))
+    np.add.at(masses, bins, s.weights)
+    return HistogramPMF(n, masses / s.total_weight)
 
 
 def shannon(p: HistogramPMF) -> float:
@@ -68,16 +69,17 @@ def shannon(p: HistogramPMF) -> float:
     return -float(fold_sum(q * np.log(q))) + 0.0  # avoid -0.0 on atoms
 
 
-def fourier_coeffs(a: AlignedAngles, weights: np.ndarray, K_max: int
+def fourier_coeffs(a: AlignedAngles, s: WeightedPhaseSet, K_max: int
                    ) -> np.ndarray:
-    """F_k = sum w e^{-ik theta} / sum w for k = 0..K_max; F_0 is 1 exactly."""
+    """F_k = sum w e^{-ik theta} / sum w for k = 0..K_max over s's weights
+    at a's angles; F_0 is 1 exactly."""
     if K_max < 1:
         raise ValueError("K_max must be >= 1")
     F = np.zeros(K_max + 1, dtype=np.complex128)
     F[0] = 1.0
-    total = float(fold_sum(weights))
     for k in range(1, K_max + 1):
-        F[k] = fold_sum(weights * np.exp(-1j * k * a.theta_shift)) / total
+        F[k] = fold_sum(s.weights * np.exp(-1j * k * a.theta_shift)) \
+            / s.total_weight
     mags = np.abs(F[1:])
     over = mags > 1.0  # roundoff can overshoot the unit bound by ~1 ulp
     if over.any():
@@ -117,12 +119,12 @@ def entropy_report(s: WeightedPhaseSet, N_bins: int = 720, K_max: int = 50,
     regime sweeps need to cross.
     """
     al = align(s, N_bins)
-    pmf = histogram(al.doubled, s.weights)
+    pmf = histogram(al.doubled, s)
     s_folded = shannon(pmf)
-    s_value = value_space_entropy(fourier_coeffs(al.doubled, s.weights, K_max))
+    s_value = value_space_entropy(fourier_coeffs(al.doubled, s, K_max))
     return EntropyReport(
         S_folded=s_folded,
-        S_unfolded=shannon(histogram(al.unfolded, s.weights)),
+        S_unfolded=shannon(histogram(al.unfolded, s)),
         S_value=s_value,
         uncertainty_sum=s_folded + s_value,
         renyi={float(a): renyi(pmf, float(a)) for a in alphas},

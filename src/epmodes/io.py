@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import datetime
-import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -49,8 +49,13 @@ _DEFAULT_RANGES = {"two_level": (-1.0, 1.0, 0.005),
                    "cavity": (0.10, 0.23, 0.005)}
 
 
-def _parse_sections(text: str) -> dict:
-    """Tokenize `[section]` / `key = value` lines; comments start with #."""
+def _parse_sections(text: str, overrides=()) -> dict:
+    """Tokenize `[section]` / `key = value` lines; comments start with #.
+
+    Each `section.key=value` override is then applied to the parsed
+    sections: it replaces the key or adds it. Line numbers in errors are
+    therefore always those of the text.
+    """
     sections = {name: {} for name in _SECTIONS}
     current = None
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -77,6 +82,19 @@ def _parse_sections(text: str) -> dict:
         if not value:
             raise ParseError(ln, f"empty value for '{key}'")
         sections[current][key] = value
+    for item in overrides:
+        head, eq, value = item.partition("=")
+        section, dot, key = head.partition(".")
+        section, key, value = section.strip(), key.strip(), value.strip()
+        if not eq or not dot:
+            raise ValidationError(item, "expected section.key=value")
+        if section not in _SECTIONS:
+            raise ValidationError(section, "unknown section")
+        if key not in _SECTIONS[section]:
+            raise ValidationError(key, f"unknown key in [{section}]")
+        if not value:
+            raise ValidationError(key, "empty value")
+        sections[section][key] = value
     return sections
 
 
@@ -125,14 +143,15 @@ def _parse_grid(model: str, sweep_keys: dict) -> np.ndarray:
     return _range_triple(key, sweep_keys[key])
 
 
-def parse_config(text: str) -> SweepConfig:
-    """Validated SweepConfig from config text, defaults applied.
+def parse_config(text: str, overrides=()) -> SweepConfig:
+    """Validated SweepConfig from config text and `section.key=value`
+    overrides, defaults applied.
 
     Defaults: N_bins=720, K_max=50, alpha = 1, 1.5, 2, node_cutoff=1e-12,
     and the canonical parameter window for the chosen model when no range
     is given.
     """
-    sec = _parse_sections(text)
+    sec = _parse_sections(text, overrides)
     model_keys = sec["model"]
     if "model" not in model_keys:
         raise ValidationError("model", "required key missing")
@@ -191,10 +210,10 @@ def parse_config(text: str) -> SweepConfig:
         raise ValidationError("config", str(exc)) from None
 
 
-def parse_output_options(text: str) -> dict:
+def parse_output_options(text: str, overrides=()) -> dict:
     """The [output] section: directory, csv/svg names, svg field list,
     optional vertical marker, timestamp on/off."""
-    sec = _parse_sections(text)["output"]
+    sec = _parse_sections(text, overrides)["output"]
     out = {"directory": sec.get("directory", "."),
            "csv": sec.get("csv", "sweep.csv"),
            "svg": sec.get("svg"),
@@ -224,14 +243,47 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _is_flag(f) -> bool:
+    return f.type in (bool, "bool")
+
+
 def csv_columns(alphas) -> list:
-    cols = ["parameter", "mode", "re_eigenvalue", "im_eigenvalue",
-            "R1", "R2", "r_abs", "K", "S_folded", "S_unfolded", "S_value",
-            "uncertainty_sum"]
-    cols += [f"renyi_{a:g}" for a in sorted(alphas)]
-    cols += ["chi_squared", "degenerate_alignment", "track_ambiguous",
-             "error"]
-    return cols
+    """parameter, mode, the ModeDiagnostics fields in their order (renyi as
+    one renyi_<alpha> column per order, ascending), track_ambiguous, error."""
+    cols = ["parameter", "mode"]
+    for f in fields(ModeDiagnostics):
+        if f.name == "renyi":
+            cols += [f"renyi_{a:g}" for a in sorted(alphas)]
+        else:
+            cols.append(f.name)
+    return cols + ["track_ambiguous", "error"]
+
+
+def _diagnostic_cells(row, alphas) -> list:
+    """A row's ModeDiagnostics cells in column order; a failed point
+    (row None) has nan for every number and 0 for every flag."""
+    cells = []
+    for f in fields(ModeDiagnostics):
+        if f.name == "renyi":
+            cells += [_fmt(row.renyi[a]) if row else "nan" for a in alphas]
+        elif _is_flag(f):
+            cells.append(int(getattr(row, f.name)) if row else 0)
+        else:
+            cells.append(_fmt(getattr(row, f.name)) if row else "nan")
+    return cells
+
+
+def _parse_diagnostics(cells, alphas) -> ModeDiagnostics:
+    it = iter(cells)
+    values = {}
+    for f in fields(ModeDiagnostics):
+        if f.name == "renyi":
+            values[f.name] = {a: float(next(it)) for a in alphas}
+        elif _is_flag(f):
+            values[f.name] = bool(int(next(it)))
+        else:
+            values[f.name] = float(next(it))
+    return ModeDiagnostics(**values)
 
 
 def write_sweep_csv(records: list, path, timestamp: bool = True) -> None:
@@ -248,33 +300,23 @@ def write_sweep_csv(records: list, path, timestamp: bool = True) -> None:
         if rec.modes:
             alphas = tuple(sorted(rec.modes[0].renyi))
             break
-    cols = csv_columns(alphas)
-    n_diag = len(cols) - 5  # numeric cells between `mode` and the flags
 
     def _emit(fh):
         if timestamp:
             stamp = datetime.datetime.now(datetime.timezone.utc)
             fh.write(f"# written {stamp.isoformat()}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
+        writer.writerow(csv_columns(alphas))
         for rec in records:
             if rec.error is not None:
                 writer.writerow([_fmt(rec.parameter), -1]
-                                + ["nan"] * n_diag + [0, 0, rec.error])
+                                + _diagnostic_cells(None, alphas)
+                                + [0, rec.error])
                 continue
             for mi, row in enumerate(rec.modes):
-                cells = [_fmt(rec.parameter), mi,
-                         _fmt(row.re_eigenvalue),
-                         _fmt(row.im_eigenvalue),
-                         _fmt(row.R1), _fmt(row.R2), _fmt(row.r_abs),
-                         _fmt(row.K), _fmt(row.S_folded),
-                         _fmt(row.S_unfolded), _fmt(row.S_value),
-                         _fmt(row.uncertainty_sum)]
-                cells += [_fmt(row.renyi[a]) for a in alphas]
-                cells += [_fmt(row.chi_squared),
-                          int(row.degenerate_alignment),
-                          int(rec.track_ambiguous), ""]
-                writer.writerow(cells)
+                writer.writerow([_fmt(rec.parameter), mi]
+                                + _diagnostic_cells(row, alphas)
+                                + [int(rec.track_ambiguous), ""])
 
     if hasattr(path, "write"):
         _emit(path)
@@ -287,7 +329,11 @@ def write_sweep_csv(records: list, path, timestamp: bool = True) -> None:
 
 
 def read_sweep_csv(path) -> list:
-    """Rebuild SweepRecords from a CSV produced by write_sweep_csv."""
+    """Rebuild SweepRecords from a CSV produced by write_sweep_csv.
+
+    Mode index 0 (or -1, a failed point) starts a record; index i > 0
+    continues the record above it, which must then hold modes 0..i-1.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             lines = [ln for ln in fh if not ln.startswith("#")]
@@ -297,35 +343,31 @@ def read_sweep_csv(path) -> list:
     if len(rows) < 2:
         raise ParseError(1, "CSV has no data rows")
     header = rows[0]
-    base = csv_columns(())
-    fixed_head = base[:12]
-    fixed_tail = base[12:]
-    if header[:12] != fixed_head or header[-4:] != fixed_tail:
+    alphas = [_float(name, name[len("renyi_"):]) for name in header
+              if name.startswith("renyi_")]
+    if header != csv_columns(alphas):
         raise ParseError(1, "unrecognized CSV header")
-    alphas = [float(name[len("renyi_"):]) for name in header[12:-4]]
     records = []
     for ln, cells in enumerate(rows[1:], start=2):
         if len(cells) != len(header):
             raise ParseError(ln, f"expected {len(header)} cells")
-        param = float(cells[0])
-        if int(cells[1]) == -1:
-            records.append(SweepRecord(param, [], cells[-1] or "error"))
+        param, mode, *diag, ambiguous, error = cells
+        param, mode = float(param), int(mode)
+        if mode == -1:
+            records.append(SweepRecord(param, [], error or "error"))
             continue
-        vals = [float(c) for c in cells[2:12]]
-        renyi = {a: float(c) for a, c in zip(alphas, cells[12:-4])}
-        diag = ModeDiagnostics(
-            re_eigenvalue=vals[0], im_eigenvalue=vals[1], R1=vals[2],
-            R2=vals[3], r_abs=vals[4], K=vals[5], S_folded=vals[6],
-            S_unfolded=vals[7], S_value=vals[8], uncertainty_sum=vals[9],
-            renyi=renyi, chi_squared=float(cells[-4]),
-            degenerate_alignment=bool(int(cells[-3])))
-        ambiguous = bool(int(cells[-2]))
-        if records and records[-1].parameter == param \
-                and records[-1].error is None:
-            records[-1].modes.append(diag)
-        else:
-            records.append(SweepRecord(param, [diag],
-                                       track_ambiguous=ambiguous))
+        row = _parse_diagnostics(diag, alphas)
+        if mode == 0:
+            records.append(SweepRecord(param, [row],
+                                       track_ambiguous=bool(int(ambiguous))))
+            continue
+        prev = records[-1] if records else None
+        if prev is None or prev.error is not None \
+                or prev.parameter != param or len(prev.modes) != mode:
+            raise ParseError(ln, f"mode {mode} does not continue a record")
+        # a new record, so its K * R2^2 check sees the added row too
+        records[-1] = SweepRecord(param, prev.modes + [row],
+                                  track_ambiguous=prev.track_ambiguous)
     return records
 
 

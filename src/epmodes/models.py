@@ -231,8 +231,8 @@ def assemble_helmholtz(geom: GridGeometry, spec: CavitySpec) -> CavityOperator:
                           np.concatenate([diag] + vals))
 
 
-def solve_cavity_modes(op: CavityOperator, k_target: float, m: int,
-                       tol: float = 1e-10, max_iter: int = 400) -> list[Mode]:
+def solve_cavity_modes(op: CavityOperator, k_target: float, m: int
+                       ) -> list[Mode]:
     """m modes with k nearest k_target, via shift-invert at shift = k_target^2.
 
     The operator must come from assemble_helmholtz: the modes live on its
@@ -246,7 +246,7 @@ def solve_cavity_modes(op: CavityOperator, k_target: float, m: int,
         raise ValueError("operator lacks geometry; use assemble_helmholtz")
     geom = op.geometry
     shift = k_target * k_target
-    pairs = shift_invert_eigs(op, shift, m, tol=tol, max_iter=max_iter)
+    pairs = shift_invert_eigs(op, shift, m)
     provenance = ("cavity_open" if geom.spec.variant == "open"
                   else "cavity_closed")
     out = []

@@ -1,11 +1,11 @@
-"""Parameter sweeps with mode tracking, diagnostics rows, and peak locking.
+"""Parameter sweeps with mode tracking, diagnostics rows, and peak finding.
 
 A sweep walks a strictly increasing parameter grid (detuning for the
 two-level model, deformation for the cavity), solves for m modes at each
 point, matches them to the previous point's modes by eigenvector overlap,
 and assembles one record per point carrying every per-mode diagnostic the
-rest of the package defines. Peak detection and the locking report then
-quantify how tightly the diagnostics' argmaxes cluster.
+rest of the package defines. `detect_peaks` then locates a diagnostic's
+argmax along the sweep, raw and refined to sub-grid precision.
 """
 
 from __future__ import annotations
@@ -291,16 +291,6 @@ class PeakEntry:
     index: int
 
 
-@dataclass(frozen=True)
-class PeakReport:
-    entries: dict
-    step: float
-    max_separation_steps: float
-    lock_tol_steps: float
-    locked: bool
-    pairwise: dict
-
-
 def _row_value(record: SweepRecord, field: str, mode_index: int) -> float:
     if record.error is not None or mode_index >= len(record.modes):
         return float("nan")
@@ -359,33 +349,3 @@ def detect_peaks(records: list, field: str, mode_index: int = 0) -> PeakEntry:
         if np.isfinite(cand):
             refined = cand
     return PeakEntry(field, x0, refined, y0, i)
-
-
-DEFAULT_LOCK_FIELDS = ("K", "S_folded", "S_unfolded", "S_value",
-                       "uncertainty_sum")
-
-
-def locking_report(records: list, fields: tuple = DEFAULT_LOCK_FIELDS,
-                   alphas: tuple = (), mode_index: int = 0,
-                   lock_tol_steps: float = 1.0) -> PeakReport:
-    """Argmax table over the requested diagnostics plus renyi_<alpha>
-    columns; separations are measured in grid steps on the raw argmax.
-    NoInteriorPeak from any field propagates untouched."""
-    names = list(fields) + [f"renyi_{a:g}" for a in alphas]
-    if not names:
-        raise ValueError("no fields requested")
-    entries = {name: detect_peaks(records, name, mode_index)
-               for name in names}
-    params = np.array([r.parameter for r in records])
-    diffs = np.diff(params)
-    step = float(np.median(diffs)) if diffs.size else 1.0
-    pairwise = {}
-    sep = 0.0
-    for a in range(len(names)):
-        for b in range(a + 1, len(names)):
-            d = abs(entries[names[a]].raw_argmax
-                    - entries[names[b]].raw_argmax) / step
-            pairwise[(names[a], names[b])] = d
-            sep = max(sep, d)
-    return PeakReport(entries, step, sep, float(lock_tol_steps),
-                      sep <= lock_tol_steps + 1e-9, pairwise)

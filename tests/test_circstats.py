@@ -136,9 +136,9 @@ class TestDoubledAlign:
         assert row.degenerate_alignment
         assert row.R1 == lobe_imbalance(s.phases, s.weights)
         assert row.S_folded == shannon(
-            histogram(AlignedAngles(folded, 720), s.weights))
+            histogram(AlignedAngles(folded, 720), s))
         assert row.S_unfolded == shannon(
-            histogram(AlignedAngles(unfolded, 720), s.weights))
+            histogram(AlignedAngles(unfolded, 720), s))
 
     def test_bin_validation(self):
         s = WeightedPhaseSet(np.array([0.1]), np.array([1.0]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from epmodes.cli import main
-from epmodes.io import read_mode_file, read_sweep_csv
+from epmodes.io import read_mode_file, read_sweep_csv, write_sweep_csv
 from epmodes.models import TwoLevelParams, two_level_modes
 from epmodes.sweep import mode_diagnostics
 
@@ -83,6 +83,34 @@ class TestSweepCommand:
         assert main(["sweep", config_path, "-O", "model.frob=1"]) == 2
         assert "frob" in capsys.readouterr().err
 
+    def test_override_unknown_section_rejected(self, config_path, capsys):
+        assert main(["sweep", config_path, "-O", "frob.x=1"]) == 2
+        err = capsys.readouterr().err
+        # the override is not a line of the file, so no line is blamed
+        assert "frob" in err and "line" not in err
+
+    def test_override_keeps_file_line_numbers(self, tmp_path, capsys):
+        # the bad line is line 8 of the file; an override that adds a key
+        # must not shift it
+        path = tmp_path / "bad.cfg"
+        path.write_text("[model]\nmodel = two_level\n\n[sweep]\n"
+                        "delta_range = -0.1:0.1:0.05\n\n[analysis]\n"
+                        "n_bins 97\n")
+        assert main(["sweep", str(path), "-O", "model.g=1"]) == 2
+        assert "line 8:" in capsys.readouterr().err
+
+    def test_override_into_repeated_section(self, tmp_path):
+        # [model] opens twice and the second block sets g
+        path = tmp_path / "twice.cfg"
+        path.write_text("[model]\nmodel = two_level\n[sweep]\n"
+                        "delta_range = 0.5:0.5:1\n[model]\ng = 1\n")
+        out = tmp_path / "out"
+        assert main(["sweep", str(path), "--out-dir", str(out),
+                     "--no-timestamp", "-O", "model.g=2"]) == 0
+        rec = read_sweep_csv(out / "sweep.csv")[0]
+        direct = two_level_modes(TwoLevelParams(rec.parameter, 2.0, 0.0))
+        assert rec.modes[0].re_eigenvalue == direct[0].eigen_k.real
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("[model]\nmodel = two_level\n[analysis]\n"
@@ -144,8 +172,23 @@ class TestSolveAndAnalyze:
         assert main(["analyze", *files, "--out", str(csv_path),
                      "--no-timestamp"]) == 0
         records = read_sweep_csv(csv_path)
-        # consecutive files at one parameter regroup into one record
-        assert sum(len(r.modes) for r in records) == 10
+        # each analyzed file is a record of its own, even at one parameter
+        assert [len(r.modes) for r in records] == [1] * 10
+
+    def test_analyze_csv_round_trip(self, config_path, tmp_path):
+        # the m0 and m1 files of one point give two records at one parameter;
+        # reading them back and writing again must reproduce the file
+        out = tmp_path / "modes"
+        main(["solve", config_path, "--out-dir", str(out)])
+        csv_path = tmp_path / "diag.csv"
+        assert main(["analyze", str(out / "mode_p0000_m0.ep"),
+                     str(out / "mode_p0000_m1.ep"), "--out", str(csv_path),
+                     "--no-timestamp"]) == 0
+        records = read_sweep_csv(csv_path)
+        assert [len(r.modes) for r in records] == [1, 1]
+        again = tmp_path / "again.csv"
+        write_sweep_csv(records, again, timestamp=False)
+        assert again.read_bytes() == csv_path.read_bytes()
 
     def test_analyze_honors_analysis_flags(self, config_path, tmp_path,
                                            capsys):

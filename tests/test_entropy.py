@@ -52,8 +52,15 @@ def angles(theta, n_bins=N):
     return AlignedAngles(np.asarray(theta, dtype=float), n_bins)
 
 
+def weighted(w):
+    # histogram and fourier_coeffs read only a set's weights and total;
+    # the angles they bin come from AlignedAngles
+    w = np.asarray(w, dtype=float)
+    return WeightedPhaseSet(np.zeros(w.size), w)
+
+
 def unfolded_entropy(s, n_bins=N):
-    return shannon(histogram(align(s, n_bins).unfolded, s.weights))
+    return shannon(histogram(align(s, n_bins).unfolded, s))
 
 
 # 720 equal-weight samples at the bin centers: the uniform binned set in
@@ -64,18 +71,18 @@ UNIFORM_THETA = (np.arange(N) + 0.5) * TWO_PI / N
 class TestHistogram:
     def test_single_atom(self):
         delta = TWO_PI / N
-        p = histogram(angles([delta / 2.0]), np.array([3.0]))
+        p = histogram(angles([delta / 2.0]), weighted([3.0]))
         assert p.p[0] == 1.0 and p.p[1:].sum() == 0.0
 
     def test_two_atoms_opposite(self):
         delta = TWO_PI / N
         p = histogram(angles([delta / 2.0, np.pi + delta / 2.0]),
-                      np.array([1.0, 1.0]))
+                      weighted([1.0, 1.0]))
         assert p.p[0] == 0.5 and p.p[N // 2] == 0.5
 
     def test_uniform_fill(self):
         centers = (np.arange(N) + 0.5) * TWO_PI / N
-        p = histogram(angles(centers), np.ones(N))
+        p = histogram(angles(centers), weighted(np.ones(N)))
         assert np.allclose(p.p, 1.0 / N, atol=1e-15)
 
     def test_pmf_validation(self):
@@ -91,8 +98,8 @@ class TestHistogram:
         phi = rng.random(500) * TWO_PI
         w = rng.random(500) + 0.01
         theta = np.mod(2.0 * phi, TWO_PI)
-        p_theta = histogram(angles(theta, N), w)
-        p_phi = histogram(angles(phi, 2 * N), w)
+        p_theta = histogram(angles(theta, N), weighted(w))
+        p_phi = histogram(angles(phi, 2 * N), weighted(w))
         combined = p_phi.p[:N] + p_phi.p[N:]
         assert np.allclose(p_theta.p, combined, atol=1e-12)
 
@@ -133,7 +140,7 @@ class TestUnfolded:
     def test_folded_same_input_is_zero(self):
         s = WeightedPhaseSet(np.array([0.0, np.pi]), np.array([0.5, 0.5]))
         a = align(s, N).doubled
-        assert shannon(histogram(a, s.weights)) == 0.0
+        assert shannon(histogram(a, s)) == 0.0
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(53)
@@ -151,20 +158,20 @@ class TestUnfolded:
         a = align(s, N)
         assert a.degenerate and a.mu2 == 0.0
         zero = np.mod(s.phases + TWO_PI / N / 2.0, TWO_PI)
-        want = shannon(histogram(angles(zero), s.weights))
+        want = shannon(histogram(angles(zero), s))
         assert unfolded_entropy(s, N) == want
         assert abs(want - np.log(2.0)) < 1e-12
 
 
 class TestFourier:
     def test_uniform_binned_vanishes(self):
-        F = fourier_coeffs(angles(UNIFORM_THETA), np.ones(N), 50)
+        F = fourier_coeffs(angles(UNIFORM_THETA), weighted(np.ones(N)), 50)
         assert np.abs(F[1:]).max() < 1e-12
         assert F[0] == 1.0
 
     def test_two_atom_parity_pattern(self):
         a = angles([0.0, np.pi])
-        F = fourier_coeffs(a, np.array([0.5, 0.5]), 50)
+        F = fourier_coeffs(a, weighted([0.5, 0.5]), 50)
         k = np.arange(51)
         want = (1.0 + (-1.0) ** k) / 2.0
         assert np.allclose(np.abs(F), want, atol=1e-12)
@@ -175,7 +182,7 @@ class TestFourier:
         w = rng.random(80) + 0.01
         s = WeightedPhaseSet(phi, w)
         a = align(s, N).doubled
-        F = fourier_coeffs(a, w, 10)
+        F = fourier_coeffs(a, s, 10)
         doubled = WeightedPhaseSet(a.theta_shift, w)
         for k in range(1, 11):
             assert abs(abs(F[k]) - resultant(doubled, k).R_k) < 1e-12
@@ -184,26 +191,27 @@ class TestFourier:
         rng = np.random.default_rng(61)
         for _ in range(20):
             theta = rng.random(N) * TWO_PI
-            F = fourier_coeffs(angles(theta), rng.random(N) + 1e-9, 50)
+            F = fourier_coeffs(angles(theta),
+                               weighted(rng.random(N) + 1e-9), 50)
             assert np.all(np.abs(F) <= 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            fourier_coeffs(angles([0.1]), np.ones(1), 0)
+            fourier_coeffs(angles([0.1]), weighted([1.0]), 0)
 
 
 class TestValueSpace:
     def test_delta_gives_log_kmax_plus_one(self):
-        F = fourier_coeffs(angles([0.3]), np.array([2.0]), 50)
+        F = fourier_coeffs(angles([0.3]), weighted([2.0]), 50)
         assert abs(value_space_entropy(F) - np.log(51.0)) < 1e-12
 
     def test_uniform_gives_zero(self):
-        F = fourier_coeffs(angles(UNIFORM_THETA), np.ones(N), 50)
+        F = fourier_coeffs(angles(UNIFORM_THETA), weighted(np.ones(N)), 50)
         assert value_space_entropy(F) < 1e-10
 
     def test_two_atom_gives_log_26(self):
         a = angles([0.0, np.pi])
-        F = fourier_coeffs(a, np.array([0.5, 0.5]), 50)
+        F = fourier_coeffs(a, weighted([0.5, 0.5]), 50)
         assert abs(value_space_entropy(F) - np.log(26.0)) < 1e-12
 
 

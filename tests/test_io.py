@@ -1,6 +1,8 @@
 """Config grammar, sweep CSV serialization, mode files, and SVG output."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +206,36 @@ class TestOutputOptions:
         assert err.value.field == "timestamp"
 
 
+
+class TestOverrides:
+    def test_replace_and_add(self):
+        cfg = parse_config(BASE, ["model.gamma=3", "analysis.k_max = 7"])
+        assert cfg.gamma == 3.0 and cfg.K_max == 7
+
+    def test_output_override(self):
+        opts = parse_output_options(BASE, ["output.csv=b.csv"])
+        assert opts["csv"] == "b.csv"
+
+    @pytest.mark.parametrize("item, field", [
+        ("model.gamma", "model.gamma"),
+        ("model.gamma=", "gamma"),
+    ], ids=["no_value", "empty"])
+    def test_bad_override(self, item, field):
+        with pytest.raises(ValidationError) as err:
+            parse_config(BASE, [item])
+        assert err.value.field == field
+
+
+def test_readme_example_config_parses():
+    # the example under README's "Command line" heading is real config text
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("```")[1::2]
+    text = next(b for b in blocks if b.lstrip().startswith("[model]"))
+    cfg = parse_config(text)
+    assert cfg.model == "cavity" and cfg.grid.size == 41
+    assert parse_output_options(text)["csv"] == "pair.csv"
+
 @pytest.fixture(scope="module")
 def small_records():
     cfg = SweepConfig("two_level", np.array([-0.1, -0.05, 0.0, 0.05, 0.1]),
@@ -277,6 +309,44 @@ class TestSweepCsv:
         assert back[1].error == "NoConvergence: gave up"
         row = path.read_text().splitlines()[-1]
         assert row.split(",")[1] == "-1"
+
+    def test_columns_follow_mode_diagnostics(self):
+        names = [f.name for f in dataclasses.fields(ModeDiagnostics)]
+        i = names.index("renyi")
+        assert csv_columns((2.0, 1.0)) == (
+            ["parameter", "mode"] + names[:i] + ["renyi_1", "renyi_2"]
+            + names[i + 1:] + ["track_ambiguous", "error"])
+
+    def test_header_must_match_schema(self, small_records, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(small_records, path, timestamp=False)
+        lines = path.read_text().splitlines()
+        lines[0] = lines[0].replace("R1,R2", "R2,R1")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_sweep_csv(path)
+        assert err.value.line_number == 1
+
+    def test_mode_row_must_continue_record(self, small_records, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(small_records, path, timestamp=False)
+        lines = path.read_text().splitlines()
+        del lines[1]  # the first point's mode 0; its mode 1 now leads
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_sweep_csv(path)
+        assert err.value.line_number == 2
+
+    def test_every_mode_row_checks_identity(self, small_records, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(small_records, path, timestamp=False)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")  # the first point's mode 1
+        cells[csv_columns((1.0, 1.5, 2.0)).index("K")] = "99.0"
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="K \\* R2"):
+            read_sweep_csv(path)
 
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
