@@ -64,9 +64,13 @@ def histogram(a: AlignedAngles, s: WeightedPhaseSet) -> HistogramPMF:
     return HistogramPMF(n, masses / s.total_weight)
 
 
-def shannon(p: HistogramPMF) -> float:
-    q = p.p[p.p > 0.0]
+def _shannon_fold(p: np.ndarray) -> float:
+    q = p[p > 0.0]
     return -float(fold_sum(q * np.log(q))) + 0.0  # avoid -0.0 on atoms
+
+
+def shannon(p: HistogramPMF) -> float:
+    return _shannon_fold(p.p)
 
 
 def fourier_coeffs(a: AlignedAngles, s: WeightedPhaseSet, K_max: int
@@ -90,9 +94,7 @@ def fourier_coeffs(a: AlignedAngles, s: WeightedPhaseSet, K_max: int
 def value_space_entropy(F: np.ndarray) -> float:
     """Shannon entropy of q_k = |F_k| / sum |F_k| over k = 0..K_max."""
     mag = np.abs(F)
-    q = mag / float(fold_sum(mag))
-    q = q[q > 0.0]
-    return -float(fold_sum(q * np.log(q)))
+    return _shannon_fold(mag / float(fold_sum(mag)))
 
 
 def renyi(p: HistogramPMF, alpha: float) -> float:

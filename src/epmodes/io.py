@@ -179,8 +179,6 @@ def parse_config(text: str, overrides=()) -> SweepConfig:
         if m < 1:
             raise ValidationError("m", "must be >= 1")
         kwargs["m"] = m
-    elif model == "cavity":
-        kwargs["m"] = 2
 
     ana = sec["analysis"]
     if "n_bins" in ana:
@@ -336,30 +334,37 @@ def read_sweep_csv(path) -> list:
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = [ln for ln in fh if not ln.startswith("#")]
+            lines = fh.readlines()
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
-    rows = list(csv.reader(lines))
+    # comments read as empty rows, so reader.line_num is the file's line
+    reader = csv.reader("\n" if ln.startswith("#") else ln for ln in lines)
+    rows = [(reader.line_num, cells) for cells in reader
+            if not lines[reader.line_num - 1].startswith("#")]
     if len(rows) < 2:
         raise ParseError(1, "CSV has no data rows")
-    header = rows[0]
+    header_ln, header = rows[0]
     alphas = [_float(name, name[len("renyi_"):]) for name in header
               if name.startswith("renyi_")]
     if header != csv_columns(alphas):
-        raise ParseError(1, "unrecognized CSV header")
+        raise ParseError(header_ln, "unrecognized CSV header")
     records = []
-    for ln, cells in enumerate(rows[1:], start=2):
+    for ln, cells in rows[1:]:
         if len(cells) != len(header):
             raise ParseError(ln, f"expected {len(header)} cells")
         param, mode, *diag, ambiguous, error = cells
-        param, mode = float(param), int(mode)
+        try:
+            param, mode = float(param), int(mode)
+            row = None if mode == -1 else _parse_diagnostics(diag, alphas)
+            ambiguous = bool(int(ambiguous))
+        except ValueError as exc:
+            raise ParseError(ln, f"bad value: {exc}") from None
         if mode == -1:
             records.append(SweepRecord(param, [], error or "error"))
             continue
-        row = _parse_diagnostics(diag, alphas)
         if mode == 0:
             records.append(SweepRecord(param, [row],
-                                       track_ambiguous=bool(int(ambiguous))))
+                                       track_ambiguous=ambiguous))
             continue
         prev = records[-1] if records else None
         if prev is None or prev.error is not None \
@@ -426,6 +431,7 @@ def read_mode_file(path):
     if not lines or lines[0] != "EPMODE 1":
         raise ParseError(1, "not an EPMODE 1 file")
     header = {}
+    line_of = {}
     body_start = None
     for ln, line in enumerate(lines[1:], start=2):
         if line == "":
@@ -435,13 +441,22 @@ def read_mode_file(path):
             raise ParseError(ln, f"expected 'key: value', got {line!r}")
         key, _, value = line.partition(": ")
         header[key] = value
+        line_of[key] = ln
     if body_start is None:
         raise ParseError(len(lines), "missing blank line before data rows")
     for key in ("provenance", "parameter", "eigenvalue", "residual",
                 "degenerate", "n"):
         if key not in header:
             raise ParseError(1, f"header is missing '{key}'")
-    n = int(header["n"])
+
+    def value(key, conv=float):
+        try:
+            return conv(header[key])
+        except ValueError:
+            raise ParseError(line_of[key],
+                             f"bad {key}: {header[key]!r}") from None
+
+    n = value("n", int)
     rows = lines[body_start:]
     if len(rows) != n:
         raise ParseError(body_start + 1,
@@ -449,23 +464,25 @@ def read_mode_file(path):
     psi = np.zeros(n, dtype=np.complex128)
     xs = np.zeros(n)
     ys = np.zeros(n)
-    for off, line in enumerate(rows):
-        parts = line.split()
-        if len(parts) != 5 or int(parts[0]) != off:
-            raise ParseError(body_start + 1 + off, f"bad data row {line!r}")
-        xs[off] = float(parts[1])
-        ys[off] = float(parts[2])
-        psi[off] = complex(float(parts[3]), float(parts[4]))
+    try:
+        for off, line in enumerate(rows):
+            parts = line.split()
+            if len(parts) != 5 or int(parts[0]) != off:
+                raise ValueError
+            xs[off] = float(parts[1])
+            ys[off] = float(parts[2])
+            psi[off] = complex(float(parts[3]), float(parts[4]))
+    except ValueError:
+        raise ParseError(body_start + 1 + off,
+                         f"bad data row {rows[off]!r}") from None
     geometry = None
     if header["provenance"] != "two_level":
         missing = [k for k in _GEOM_KEYS if k not in header]
         if missing:
             raise ParseError(1, f"header is missing '{missing[0]}'")
-        spec = CavitySpec(float(header["epsilon"]),
-                          float(header["mean_radius"]),
-                          float(header["h"]), header["variant"],
-                          float(header["cap_strength"]),
-                          float(header["cap_width"]))
+        spec = CavitySpec(value("epsilon"), value("mean_radius"),
+                          value("h"), header["variant"],
+                          value("cap_strength"), value("cap_width"))
         geometry = build_ellipse_grid(spec)
         if geometry.npts != n:
             raise ParseError(1, f"geometry yields {geometry.npts} points, "
@@ -473,9 +490,13 @@ def read_mode_file(path):
         if not (np.array_equal(geometry.pt_x, xs)
                 and np.array_equal(geometry.pt_y, ys)):
             raise ParseError(1, "row coordinates disagree with geometry")
-    re_l, im_l = header["eigenvalue"].split()
-    mode = Mode(geometry, psi, complex(float(re_l), float(im_l)),
-                header["provenance"], float(header["residual"]),
-                bool(int(header["degenerate"])))
-    header["parameter"] = float(header["parameter"])
+    mode = Mode(geometry, psi, value("eigenvalue", _complex_pair),
+                header["provenance"], value("residual"),
+                bool(value("degenerate", int)))
+    header["parameter"] = value("parameter")
     return mode, header
+
+
+def _complex_pair(text: str) -> complex:
+    re_part, im_part = text.split()  # exactly two parts, or ValueError
+    return complex(float(re_part), float(im_part))

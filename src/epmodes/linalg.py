@@ -103,17 +103,6 @@ class SparseOperator:
         d = self.rows - self.cols
         return int(max(d.max(), 0)), int(max((-d).max(), 0))
 
-    @staticmethod
-    def from_dense(M, symmetric: bool = False) -> "SparseOperator":
-        M = np.asarray(M, dtype=np.complex128)
-        r, c = np.nonzero(M)
-        return SparseOperator(M.shape[0], r, c, M[r, c], symmetric=symmetric)
-
-    def to_dense(self) -> np.ndarray:
-        M = np.zeros((self.n, self.n), dtype=np.complex128)
-        M[self.rows, self.cols] = self.vals
-        return M
-
 
 @dataclass
 class EigenPair:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .linalg import SparseOperator, shift_invert_eigs, eig2x2
 
@@ -72,10 +73,11 @@ class CavitySpec:
 class GridGeometry:
     """Square lattice clipped to the strict ellipse interior.
 
-    The lattice is anchored at the origin: grid point (i, j) sits at
-    (ix_min + i, iy_min + j) * h in integer lattice units, so grids built for
-    different epsilon share absolute point identities. That is what lets a
-    sweep compare modes across deformation without interpolation.
+    The lattice is anchored at the origin: array cell (i, j) sits at
+    (ix_min + i, iy_min + j) * h. pt_ix/pt_iy are array indices, which shift
+    with the bounding box; `lattice_key` (absolute lattice coordinates, one
+    int64 per point) is the cross-grid identity that lets a sweep compare
+    modes across deformation without interpolation.
     """
 
     def __init__(self, spec: CavitySpec):
@@ -114,6 +116,12 @@ class GridGeometry:
         w = np.where(d < d0, ((d0 - d) / d0) ** 2, 0.0)
         self.cap_profile = np.zeros((self.nx, self.ny))
         self.cap_profile[self.interior_mask] = w
+
+    @cached_property
+    def lattice_key(self) -> np.ndarray:
+        # built on first use: only tracking across grids reads it
+        return (self.ix_min + self.pt_ix.astype(np.int64)) * 2**32 \
+            + (self.iy_min + self.pt_iy)  # ascending while |y| < 2^31
 
     def embed(self, values: np.ndarray) -> np.ndarray:
         """Scatter per-point values onto the full grid, zero outside."""

@@ -29,10 +29,6 @@ from .models import (
 from .nonorth import rigidity_report
 
 
-class AmbiguousTracking(Exception):
-    """Best and second-best overlaps too close to assign a branch."""
-
-
 class NoInteriorPeak(Exception):
     """Field maximum sits on a sweep endpoint."""
 
@@ -171,63 +167,46 @@ def mode_diagnostics(m, N_bins: int = 720, K_max: int = 50,
     )
 
 
-def _lattice_keys(g) -> np.ndarray:
-    # composite integer key per interior point; indices sit well inside 2^20
-    off = np.int64(1) << 20
-    return (g.pt_ix.astype(np.int64) + off) * (np.int64(1) << 21) \
-        + (g.pt_iy.astype(np.int64) + off)
-
-
-def _overlap(pa, pb) -> float:
-    """Cosine overlap |<a|b>| / (|a| |b|), on the shared lattice when the
-    two modes live on different deformations of the same integer grid."""
-    ga, gb = pa.geometry, pb.geometry
-    if ga is None and gb is None:
-        a, b = pa.psi, pb.psi
-    elif ga is not None and gb is not None:
-        _, ia, ib = np.intersect1d(_lattice_keys(ga), _lattice_keys(gb),
-                                   assume_unique=True, return_indices=True)
-        if ia.size == 0:
-            return 0.0
-        a, b = pa.psi[ia], pb.psi[ib]
-    else:
-        raise ValueError("cannot mix grid modes with two-level modes")
-    na = float(np.sqrt(np.sum(np.abs(a) ** 2)))
-    nb = float(np.sqrt(np.sum(np.abs(b) ** 2)))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(abs(np.sum(np.conj(a) * b))) / (na * nb)
-
-
-def track_modes(prev: list, nxt: list) -> np.ndarray:
+def track_modes(prev: list, nxt: list) -> tuple:
     """Greedy maximum-overlap branch assignment.
 
-    Returns perm with perm[i] the nxt-index taken by previous branch i.
-    Raises AmbiguousTracking when the winning overlap for some branch beats
-    the runner-up by less than 1e-6; the caller decides the fallback.
+    Overlaps are |<a|b>| / (|a| |b|) on the lattice points both grids share,
+    matched by GridGeometry.lattice_key; 0 when nothing is shared or a vector
+    vanishes. Returns (perm, margin): perm[i] is the nxt-index taken by
+    previous branch i, and margin is the smallest lead of a winning overlap
+    over its runner-up among the steps that had a choice (inf if none did).
     """
     if len(prev) != len(nxt):
         raise ValueError("mode lists must have equal length")
+    ga, gb = prev[0].geometry, nxt[0].geometry
+    if any(p.geometry is not ga for p in prev) \
+            or any(q.geometry is not gb for q in nxt):
+        raise ValueError("modes of one point must share one grid")
+    if (ga is None) != (gb is None):
+        raise ValueError("cannot mix grid modes with two-level modes")
+    a = np.stack([p.psi for p in prev])
+    b = np.stack([q.psi for q in nxt])
+    if ga is not None:
+        _, ia, ib = np.intersect1d(ga.lattice_key, gb.lattice_key,
+                                   assume_unique=True, return_indices=True)
+        a, b = a[:, ia], b[:, ib]
+    dots = np.abs(np.sum(np.conj(a)[:, None, :] * b[None, :, :], axis=2))
+    norms = np.sqrt(np.sum(np.abs(a) ** 2, axis=1))[:, None] \
+        * np.sqrt(np.sum(np.abs(b) ** 2, axis=1))[None, :]
+    overlaps = np.divide(dots, norms, out=np.zeros_like(dots),
+                         where=norms > 0.0)
     n = len(prev)
-    overlaps = np.array([[_overlap(p, q) for q in nxt] for p in prev])
     perm = np.full(n, -1, dtype=np.int64)
-    row_free = np.ones(n, dtype=bool)
-    col_free = np.ones(n, dtype=bool)
-    for _ in range(n):
-        masked = np.where(np.outer(row_free, col_free), overlaps, -1.0)
-        i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
-        if int(col_free.sum()) > 1:
-            others = masked[i].copy()
-            others[j] = -1.0
-            second = float(others.max())
-            if overlaps[i, j] - second < 1e-6:
-                raise AmbiguousTracking(
-                    f"branch {i}: best overlap {overlaps[i, j]:.9f} "
-                    f"vs runner-up {second:.9f}")
+    margin = np.inf
+    for step in range(n):
+        i, j = np.unravel_index(int(np.argmax(overlaps)), overlaps.shape)
+        if step < n - 1:
+            margin = min(margin, float(overlaps[i, j]
+                                       - np.delete(overlaps[i], j).max()))
         perm[i] = j
-        row_free[i] = False
-        col_free[j] = False
-    return perm
+        overlaps[i, :] = -1.0  # taken rows and columns drop out
+        overlaps[:, j] = -1.0
+    return perm, margin
 
 
 def _solve_point(cfg: SweepConfig, x: float) -> list:
@@ -270,11 +249,10 @@ def run_sweep(cfg: SweepConfig) -> list:
             continue
         ambiguous = False
         if prev is not None:
-            try:
-                order = track_modes(prev, modes)
+            order, margin = track_modes(prev, modes)
+            ambiguous = margin < 1e-6  # identity fallback, row flagged
+            if not ambiguous:
                 modes = [modes[int(j)] for j in order]
-            except AmbiguousTracking:
-                ambiguous = True  # identity fallback, row flagged
         rows = [mode_diagnostics(md, cfg.N_bins, cfg.K_max, cfg.alphas,
                                  cfg.node_cutoff) for md in modes]
         records.append(SweepRecord(x, rows, None, ambiguous))

@@ -348,6 +348,29 @@ class TestSweepCsv:
         with pytest.raises(ValueError, match="K \\* R2"):
             read_sweep_csv(path)
 
+    def test_bad_row_names_file_line_past_comment(self, small_records,
+                                                  tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(small_records, path, timestamp=True)
+        lines = path.read_text().splitlines()
+        lines[3] += ",extra"  # file line 4: comment, header, two rows
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_sweep_csv(path)
+        assert err.value.line_number == 4
+
+    def test_non_numeric_cell_names_line(self, small_records, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(small_records, path, timestamp=True)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = "x"  # the mode index on file line 3
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_sweep_csv(path)
+        assert err.value.line_number == 3
+
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_sweep_csv([], tmp_path / "x.csv")
@@ -430,6 +453,36 @@ class TestModeFile:
         lines = path.read_text().splitlines()
         blank = lines.index("")
         lines[blank + 2] = "1 0.0 junk"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_mode_file(path)
+        assert err.value.line_number == blank + 3
+
+
+    @pytest.mark.parametrize("key, bad", [("n", "two"),
+                                          ("eigenvalue", "0.5")])
+    def test_bad_header_value_names_line(self, tmp_path, key, bad):
+        mode = two_level_modes(TwoLevelParams(0.3, 1.0, 2.0))[0]
+        path = tmp_path / "m.ep"
+        write_mode_file(mode, path, parameter=0.3)
+        lines = path.read_text().splitlines()
+        at = next(i for i, ln in enumerate(lines)
+                  if ln.startswith(key + ": "))
+        lines[at] = f"{key}: {bad}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_mode_file(path)
+        assert err.value.line_number == at + 1
+
+    @pytest.mark.parametrize("row", ["1 0.0 0.0 junk 0.0",
+                                     "x 0.0 0.0 1.0 0.0"])
+    def test_non_numeric_row_names_line(self, tmp_path, row):
+        mode = two_level_modes(TwoLevelParams(0.3, 1.0, 2.0))[0]
+        path = tmp_path / "m.ep"
+        write_mode_file(mode, path)
+        lines = path.read_text().splitlines()
+        blank = lines.index("")
+        lines[blank + 2] = row
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError) as err:
             read_mode_file(path)

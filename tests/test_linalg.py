@@ -42,6 +42,18 @@ def laplacian_1d(n, h):
     return SparseOperator(n, rows, cols, vals, symmetric=True)
 
 
+def from_dense(M):
+    M = np.asarray(M, dtype=np.complex128)
+    r, c = np.nonzero(M)
+    return SparseOperator(M.shape[0], r, c, M[r, c])
+
+
+def to_dense(A):
+    M = np.zeros((A.n, A.n), dtype=np.complex128)
+    M[A.rows, A.cols] = A.vals
+    return M
+
+
 def random_banded(rng, n, kl, ku, real=False):
     rows, cols, vals = [], [], []
     for i in range(n):
@@ -58,7 +70,7 @@ class TestSparseOperator:
         rng = np.random.default_rng(7)
         A = random_banded(rng, 12, 2, 3)
         x = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        assert norm(A.apply(x) - A.to_dense() @ x) < 1e-12 * norm(x)
+        assert norm(A.apply(x) - to_dense(A) @ x) < 1e-12 * norm(x)
 
     def test_duplicate_entries_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -102,7 +114,7 @@ class TestBandedLU:
         x = lu.solve(b)
         assert norm(A.apply(x) - shift * x - b) < 1e-10 * norm(b)
         # value agreement against the dense oracle
-        xo = np.linalg.solve(A.to_dense() - shift * np.eye(n), b)
+        xo = np.linalg.solve(to_dense(A) - shift * np.eye(n), b)
         assert norm(x - xo) < 1e-8 * norm(xo)
 
     def test_pivoting_handles_tiny_diagonal(self):
@@ -119,7 +131,7 @@ class TestBandedLU:
         n = 8
         M = 4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
         M[3, 3], M[3, 2] = 1e-20, 0.0
-        A = SparseOperator.from_dense(M)
+        A = from_dense(M)
         lu = lu_factor(A)
         assert lu._perm[1, 1] == 4
         b = np.arange(1.0, n + 1.0) + 0.5j
@@ -265,7 +277,7 @@ class TestEig2x2:
         for _ in range(20):
             M = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             direct = sorted(eig2x2(M), key=lambda p: abs(p.eigenvalue - 0.37))
-            A = SparseOperator.from_dense(M)
+            A = from_dense(M)
             arn = shift_invert_eigs(A, 0.37, 2)
             for d, a in zip(direct, arn):
                 assert abs(d.eigenvalue - a.eigenvalue) < 1e-8
@@ -307,4 +319,16 @@ def test_src_never_imports_private_sibling_names():
             if isinstance(node, ast.ImportFrom)
             and (node.level > 0 or (node.module or "").startswith("epmodes"))
             for alias in node.names if alias.name.startswith("_")]
+    assert hits == []
+
+
+def test_only_models_reads_lattice_indices():
+    # array indices and box corners shift with the bounding box; any other
+    # module wanting point identity across grids uses lattice_key
+    pkg = Path(__file__).resolve().parent.parent / "src" / "epmodes"
+    private = {"pt_ix", "pt_iy", "ix_min", "iy_min"}
+    hits = [f"{path.name}:{node.lineno} {node.attr}"
+            for path in sorted(pkg.glob("*.py")) if path.name != "models.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in private]
     assert hits == []

@@ -1,12 +1,19 @@
 """Sweep orchestration: grids, tracking, records, peaks."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from epmodes.linalg import NoConvergence
-from epmodes.models import TwoLevelParams, two_level_modes
+from epmodes.models import (
+    CavitySpec,
+    GridGeometry,
+    Mode,
+    TwoLevelParams,
+    two_level_modes,
+)
 from epmodes.sweep import (
-    AmbiguousTracking,
     ModeDiagnostics,
     NoInteriorPeak,
     SweepConfig,
@@ -96,24 +103,109 @@ class TestSweepConfig:
             SweepConfig("two_level", np.array([0.0, 1.0]), node_cutoff=1.0)
 
 
+def lattice_mode(geom, field):
+    """A Mode holding field(x, y) sampled on geom's interior points."""
+    psi = field(geom.pt_x, geom.pt_y).astype(np.complex128)
+    psi /= np.sqrt(np.sum(np.abs(psi) ** 2)) * geom.h
+    return Mode(geom, psi, 8.0 + 0.0j, "cavity_open")
+
+
+def coordinate_overlaps(prev, nxt):
+    """Oracle: cosine overlaps on the points whose (x, y) coincide."""
+    out = np.zeros((len(prev), len(nxt)))
+    for i, p in enumerate(prev):
+        gp = p.geometry
+        at = {(x, y): k for k, (x, y)
+              in enumerate(zip(gp.pt_x.tolist(), gp.pt_y.tolist()))}
+        for j, q in enumerate(nxt):
+            gq = q.geometry
+            pairs = [(at[xy], k) for k, xy
+                     in enumerate(zip(gq.pt_x.tolist(), gq.pt_y.tolist()))
+                     if xy in at]
+            ia, ib = (np.array(c) for c in zip(*pairs))
+            a, b = p.psi[ia], q.psi[ib]
+            out[i, j] = abs(np.vdot(a, b)) / np.sqrt(
+                np.vdot(a, a).real * np.vdot(b, b).real)
+    return out
+
+
+# modulus varies along both axes, so a one-step misregistration in either
+# direction changes every overlap, not just a global phase
+FIELDS = (lambda x, y: np.exp(-(x - 0.2) ** 2 - 3.0 * y * y + 3j * x),
+          lambda x, y: (x + 0.5 + 1j * y) * np.exp(-x * x - (y - 0.2) ** 2))
+
+
 class TestTrackModes:
     def test_identity(self):
         modes = two_level_modes(TwoLevelParams(0.3, 1.0, 1.0))
-        assert list(track_modes(modes, modes)) == [0, 1]
+        perm, margin = track_modes(modes, modes)
+        assert list(perm) == [0, 1]
+        assert 0.0 < margin <= 1.0
 
     def test_reversal(self):
         modes = two_level_modes(TwoLevelParams(0.3, 1.0, 1.0))
-        assert list(track_modes(modes, modes[::-1])) == [1, 0]
+        assert list(track_modes(modes, modes[::-1])[0]) == [1, 0]
 
     def test_ambiguous_duplicates(self):
         m = two_level_modes(TwoLevelParams(0.3, 1.0, 1.0))[0]
-        with pytest.raises(AmbiguousTracking):
-            track_modes([m, m], [m, m])
+        assert track_modes([m, m], [m, m])[1] == 0.0
+
+    def test_single_mode_has_no_choice(self):
+        m = two_level_modes(TwoLevelParams(0.3, 1.0, 1.0))[0]
+        perm, margin = track_modes([m], [m])
+        assert list(perm) == [0] and margin == np.inf
 
     def test_length_mismatch(self):
         modes = two_level_modes(TwoLevelParams(0.3, 1.0, 1.0))
         with pytest.raises(ValueError):
             track_modes(modes, modes[:1])
+
+    def test_mixed_models_rejected(self):
+        two = two_level_modes(TwoLevelParams(0.3, 1.0, 1.0))
+        geom = GridGeometry(CavitySpec(0.1, h=0.1))
+        grid = [lattice_mode(geom, f) for f in FIELDS]
+        with pytest.raises(ValueError, match="mix"):
+            track_modes(two, grid)
+
+    def test_modes_of_one_point_share_one_grid(self):
+        g1 = GridGeometry(CavitySpec(0.1, h=0.1))
+        g2 = GridGeometry(CavitySpec(0.1, h=0.1))
+        mixed = [lattice_mode(g1, FIELDS[0]), lattice_mode(g2, FIELDS[1])]
+        with pytest.raises(ValueError, match="share one grid"):
+            track_modes(mixed, mixed)
+
+    def test_nothing_shared_or_zero_vector_overlaps_zero(self):
+        def point(keys, *vectors):
+            grid = None if keys is None else SimpleNamespace(
+                lattice_key=np.array(keys, dtype=np.int64))
+            return [SimpleNamespace(geometry=grid,
+                                    psi=np.array(v, dtype=complex))
+                    for v in vectors]
+        # disjoint lattices: every overlap is 0, so no branch leads
+        assert track_modes(point([1, 2], [1, 1], [1, 0]),
+                           point([3, 4], [1, 1], [0, 1]))[1] == 0.0
+        # a zero vector overlaps nothing; the other branch still leads by 1
+        perm, margin = track_modes(point(None, [1, 0], [0, 0]),
+                                   point(None, [0, 0], [1, 0]))
+        assert list(perm) == [1, 0] and margin == 1.0
+
+    @pytest.mark.parametrize("eps_pair", [(0.2998, 0.3000), (0.3000, 0.3002)])
+    def test_bounding_box_shift_matches_coordinate_oracle(self, eps_pair):
+        # on criterion 6's h = 0.02 grid the box gains an x column at
+        # eps = 0.3000 and loses a y row at 0.3002; array indices then name
+        # different points, lattice keys do not
+        g1, g2 = (GridGeometry(CavitySpec(e, h=0.02, variant="open",
+                                          cap_strength=1.0)) for e in eps_pair)
+        assert (g1.ix_min, g1.iy_min) != (g2.ix_min, g2.iy_min)
+        prev = [lattice_mode(g1, f) for f in FIELDS]
+        nxt = [lattice_mode(g2, f) for f in FIELDS[::-1]]
+        oracle = coordinate_overlaps(prev, nxt)
+        assert oracle[0, 1] == pytest.approx(1.0, abs=1e-12)
+        perm, margin = track_modes(prev, nxt)
+        assert list(perm) == [1, 0]
+        i, j = np.unravel_index(int(np.argmax(oracle)), oracle.shape)
+        assert margin == pytest.approx(oracle[i, j] - oracle[i, 1 - j],
+                                       abs=1e-12)
 
     def test_weak_damping_real_parts_repel_imag_cross(self):
         # gamma < 2g: tracked branches keep a real gap >= 2 sqrt(g^2 -
@@ -132,6 +224,15 @@ class TestTrackModes:
                            - r.modes[1].im_eigenvalue)
         assert min(re_gap) >= 2.0 * np.sqrt(1.0 - 0.25) - 1e-9
         assert im_diff[0] * im_diff[-1] < 0.0
+
+
+def test_thin_margin_flags_row():
+    # at the EP both eigenvectors coincide, so the steps into and out of
+    # delta = 0 have no overlap lead
+    recs = run_sweep(SweepConfig("two_level",
+                                 anchored_grid(-0.01, 0.01, 0.005), gamma=2.0))
+    assert [r.track_ambiguous for r in recs] == [False, False, True, True,
+                                                 False]
 
 
 @pytest.fixture(scope="module")
