@@ -15,7 +15,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .models import CavitySpec, Mode, build_ellipse_grid
+from .models import PROVENANCES, CavitySpec, Mode, build_ellipse_grid
 from .sweep import ModeDiagnostics, SweepConfig, SweepRecord, anchored_grid
 
 
@@ -456,6 +456,9 @@ def read_mode_file(path):
             raise ParseError(line_of[key],
                              f"bad {key}: {header[key]!r}") from None
 
+    if header["provenance"] not in PROVENANCES:
+        raise ParseError(line_of["provenance"],
+                         f"unknown provenance {header['provenance']!r}")
     n = value("n", int)
     rows = lines[body_start:]
     if len(rows) != n:
@@ -480,19 +483,26 @@ def read_mode_file(path):
         missing = [k for k in _GEOM_KEYS if k not in header]
         if missing:
             raise ParseError(1, f"header is missing '{missing[0]}'")
-        spec = CavitySpec(value("epsilon"), value("mean_radius"),
-                          value("h"), header["variant"],
-                          value("cap_strength"), value("cap_width"))
-        geometry = build_ellipse_grid(spec)
+        spec = {}
+        for key in _GEOM_KEYS:  # the first key that makes the spec invalid
+            spec[key] = header[key] if key == "variant" else value(key)
+            try:
+                CavitySpec(**spec)
+            except ValueError as exc:
+                raise ParseError(line_of[key], str(exc)) from None
+        geometry = build_ellipse_grid(CavitySpec(**spec))
         if geometry.npts != n:
-            raise ParseError(1, f"geometry yields {geometry.npts} points, "
-                                f"file has {n}")
+            raise ParseError(line_of["n"], f"geometry yields "
+                             f"{geometry.npts} points, file has {n}")
         if not (np.array_equal(geometry.pt_x, xs)
                 and np.array_equal(geometry.pt_y, ys)):
             raise ParseError(1, "row coordinates disagree with geometry")
-    mode = Mode(geometry, psi, value("eigenvalue", _complex_pair),
-                header["provenance"], value("residual"),
-                bool(value("degenerate", int)))
+    try:
+        mode = Mode(geometry, psi, value("eigenvalue", _complex_pair),
+                    header["provenance"], value("residual"),
+                    bool(value("degenerate", int)))
+    except ValueError as exc:  # psi not intensity-normalized
+        raise ParseError(body_start + 1, str(exc)) from None
     header["parameter"] = value("parameter")
     return mode, header
 

@@ -17,6 +17,7 @@ from functools import cached_property
 from .linalg import SparseOperator, shift_invert_eigs, eig2x2
 
 
+PROVENANCES = ("two_level", "cavity_closed", "cavity_open")
 _THETA_MIN = 1e-3  # a point on the wall would put 1/theta -> inf on the diagonal
 
 
@@ -78,6 +79,9 @@ class GridGeometry:
     with the bounding box; `lattice_key` (absolute lattice coordinates, one
     int64 per point) is the cross-grid identity that lets a sweep compare
     modes across deformation without interpolation.
+
+    The anchoring is load-bearing: coordinates negate exactly, so the grid
+    and its operators are bitwise mirror symmetric (see `parity_basis`).
     """
 
     def __init__(self, spec: CavitySpec):
@@ -123,6 +127,24 @@ class GridGeometry:
         return (self.ix_min + self.pt_ix.astype(np.int64)) * 2**32 \
             + (self.iy_min + self.pt_iy)  # ascending while |y| < 2^31
 
+    @cached_property
+    def parity_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """(block, weight), each (4, npts): point p enters column block[s, p]
+        of the real orthogonal D2 basis Q with weight chi_s(p) / sqrt|O_p|,
+        O_p being p's mirror orbit and chi_s the sign pattern of sector
+        s = ee, eo, oe, oo (x parity first); weight 0 where s has no vector
+        for O_p. Each sector's columns follow its quadrant points x-major."""
+        X, Y = self.ix_min + self.pt_ix, self.iy_min + self.pt_iy
+        odd_x, odd_y = np.array([[0, 0, 1, 1], [0, 1, 0, 1]])[..., None]
+        member = ((X != 0) | (odd_x == 0)) & ((Y != 0) | (odd_y == 0))
+        # sector by sector, a quadrant point's rank is its column
+        col = np.cumsum(member & (X >= 0) & (Y >= 0)).reshape(4, -1) - 1
+        rep = self.index_of[np.abs(X) - self.ix_min, np.abs(Y) - self.iy_min]
+        chi = (-1.0) ** (odd_x * (X < 0) + odd_y * (Y < 0))
+        norm = 1.0 / np.sqrt((1.0 + (X != 0)) * (1.0 + (Y != 0)))
+        return (np.where(member, col[:, rep], 0),
+                np.where(member, chi * norm, 0.0))
+
     def embed(self, values: np.ndarray) -> np.ndarray:
         """Scatter per-point values onto the full grid, zero outside."""
         g = np.zeros((self.nx, self.ny), dtype=values.dtype)
@@ -143,7 +165,7 @@ class Mode:
     degenerate: bool = False
 
     def __post_init__(self):
-        if self.provenance not in ("two_level", "cavity_closed", "cavity_open"):
+        if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         h = self.geometry.h if self.geometry is not None else 1.0
         total = float((np.abs(self.psi) ** 2).sum()) * h * h
@@ -163,7 +185,7 @@ def two_level_hamiltonian(p: TwoLevelParams) -> np.ndarray:
 def _align_gauge(v: np.ndarray) -> np.ndarray:
     # rotate so sum psi^2 is real positive; at self-orthogonality the sum
     # vanishes and the incoming gauge is kept
-    s = sum((v * v).tolist())
+    s = 0 + np.add.accumulate(v * v)[-1].item()  # circstats.fold_sum's fold
     tot = float((np.abs(v) ** 2).sum())
     if abs(s) < 1e-12 * tot:
         return v
@@ -239,14 +261,38 @@ def assemble_helmholtz(geom: GridGeometry, spec: CavitySpec) -> CavityOperator:
                           np.concatenate([diag] + vals))
 
 
+def parity_reduce(op: CavityOperator) -> SparseOperator:
+    """Q^T A Q in the geometry's `parity_basis`: four diagonal blocks. A is
+    checked to be bitwise invariant under both reflections, the condition
+    for the cross-sector blocks to vanish. Each entry sums equal terms
+    (w_r w_c) v, so the result is exactly complex symmetric."""
+    geom, n = op.geometry, op.n
+    for mirror in (geom.index_of[::-1, :], geom.index_of[:, ::-1]):
+        image = mirror[geom.interior_mask]
+        key = image[op.rows] * n + image[op.cols]
+        order = np.argsort(key)
+        if image.min() < 0 or np.any(key[order] != op.rows * n + op.cols) \
+                or np.any(op.vals[order] != op.vals):
+            raise ValueError("operator is not mirror symmetric")
+    block, weight = geom.parity_basis
+    w = weight[:, op.rows] * weight[:, op.cols]
+    keep = w != 0.0
+    keys = (block[:, op.rows] * n + block[:, op.cols])[keep]
+    uniq, inv = np.unique(keys, return_inverse=True)
+    vals = np.zeros(uniq.size, dtype=np.complex128)
+    np.add.at(vals, inv, (w * op.vals[None, :])[keep])
+    return SparseOperator(n, uniq // n, uniq % n, vals, symmetric=True)
+
+
 def solve_cavity_modes(op: CavityOperator, k_target: float, m: int
                        ) -> list[Mode]:
     """m modes with k nearest k_target, via shift-invert at shift = k_target^2.
 
     The operator must come from assemble_helmholtz: the modes live on its
-    geometry, and the geometry's spec names their variant. Eigenvalues
-    convert through k = sqrt(lambda) on the principal branch (Re k >= 0);
-    for absorbing cavities Im lambda < 0 puts Im k < 0.
+    geometry, and the geometry's spec names their variant. One Arnoldi runs
+    on `parity_reduce(op)`; each Ritz vector maps back as psi = Q y, with its
+    residual measured on op. k = sqrt(lambda) on the principal branch
+    (Re k >= 0); for absorbing cavities Im lambda < 0 puts Im k < 0.
     """
     if not k_target > 0:
         raise ValueError("k_target must be positive")
@@ -254,12 +300,16 @@ def solve_cavity_modes(op: CavityOperator, k_target: float, m: int
         raise ValueError("operator lacks geometry; use assemble_helmholtz")
     geom = op.geometry
     shift = k_target * k_target
-    pairs = shift_invert_eigs(op, shift, m)
+    pairs = shift_invert_eigs(parity_reduce(op), shift, m)
+    block, weight = geom.parity_basis
     provenance = ("cavity_open" if geom.spec.variant == "open"
                   else "cavity_closed")
     out = []
     for q in pairs:
         k = complex(np.sqrt(np.complex128(q.eigenvalue)))
-        psi = _align_gauge(q.eigenvector) / geom.h  # unit 2-norm -> unit intensity
-        out.append(Mode(geom, psi, k, provenance, q.residual_norm, q.degenerate))
+        v = (weight * q.eigenvector[block]).sum(axis=0)
+        r = op.apply(v) - q.eigenvalue * v  # residual on A itself
+        res = float(np.sqrt((np.abs(r) ** 2).sum()))
+        psi = _align_gauge(v) / geom.h  # unit 2-norm -> unit intensity
+        out.append(Mode(geom, psi, k, provenance, res, q.degenerate))
     return out

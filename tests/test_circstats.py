@@ -1,5 +1,8 @@
 """Circular-statistics layer: exact small examples plus invariance properties."""
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from epmodes.circstats import (
     align,
     lobe_imbalance,
     current_field,
+    fold_sum,
 )
 from epmodes.entropy import histogram, shannon
 from epmodes.sweep import mode_diagnostics
@@ -31,6 +35,40 @@ def make_mode(psi):
 def circ_dist(a, b):
     d = np.abs(np.mod(a - b, TWO_PI))
     return np.minimum(d, TWO_PI - d)
+
+
+def _bits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+class TestFoldSum:
+    """fold_sum is the strict left fold reduce(add, values, 0) on every
+    interpreter; the built-in sum compensates floats from Python 3.12."""
+
+    @pytest.mark.parametrize("kind", ["float", "complex"])
+    def test_matches_explicit_left_fold(self, kind):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 17, 1000, 31000):
+            a = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+            if kind == "complex":
+                a = a + 1j * rng.standard_normal(n)
+            want = functools.reduce(operator.add, a.tolist(), 0)
+            got = fold_sum(a)
+            assert type(got) is type(want)
+            assert _bits(got) == _bits(want)
+
+    def test_cancellation_is_not_compensated(self):
+        a = np.array([1.0, 1e100, 1.0, -1e100])
+        assert fold_sum(a) == 0.0  # a compensated sum gives 2.0
+
+    @pytest.mark.parametrize("values", [[-0.0], [-0.0, -0.0],
+                                        [-0.0 - 0.0j, -0.0 - 0.0j],
+                                        [0.0, -0.0]])
+    def test_signed_zeros(self, values):
+        a = np.array(values)
+        want = functools.reduce(operator.add, values, 0)
+        assert _bits(fold_sum(a)) == _bits(want)
 
 
 class TestExtractPhases:

@@ -489,6 +489,39 @@ class TestModeFile:
         assert err.value.line_number == blank + 3
 
 
+    @pytest.mark.parametrize("key, bad", [("epsilon", "0.7"),
+                                          ("variant", "shut"),
+                                          ("cap_strength", "-1"),
+                                          ("provenance", "cavity_x"),
+                                          ("n", "17")])
+    def test_invalid_header_value_names_line(self, cavity_mode, tmp_path,
+                                             key, bad):
+        path = tmp_path / "c.ep"
+        write_mode_file(cavity_mode, path)
+        lines = path.read_text().splitlines()
+        at = next(i for i, ln in enumerate(lines)
+                  if ln.startswith(key + ": "))
+        lines[at] = f"{key}: {bad}"
+        if key == "n":  # as many rows as the header claims
+            lines = lines[:lines.index("") + 1 + int(bad)]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_mode_file(path)
+        assert err.value.line_number == at + 1
+
+    def test_unnormalized_psi_names_first_row(self, tmp_path):
+        mode = two_level_modes(TwoLevelParams(0.3, 1.0, 2.0))[0]
+        path = tmp_path / "m.ep"
+        write_mode_file(mode, path)
+        lines = path.read_text().splitlines()
+        blank = lines.index("")
+        lines[blank + 1] = "0 0.0 0.0 3.0 0.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="normalized") as err:
+            read_mode_file(path)
+        assert err.value.line_number == blank + 2
+
+
 class TestEmitSvg:
     def test_basic_panel(self, small_records, tmp_path):
         path = tmp_path / "plot.svg"

@@ -11,7 +11,7 @@ import cmath
 import numpy as np
 import pytest
 
-from epmodes.linalg import SparseOperator
+from epmodes.linalg import SparseOperator, shift_invert_eigs
 from epmodes.models import (
     TwoLevelParams,
     CavitySpec,
@@ -21,8 +21,10 @@ from epmodes.models import (
     two_level_modes,
     build_ellipse_grid,
     assemble_helmholtz,
+    parity_reduce,
     solve_cavity_modes,
     neighbor_view,
+    CavityOperator,
 )
 
 J0_1 = 2.404825557695773     # first zero of J0
@@ -246,3 +248,117 @@ class TestCavityModes:
     def test_mode_norm_enforced(self):
         with pytest.raises(ValueError, match="normalized"):
             Mode(None, np.array([1.0, 1.0], dtype=complex), 1.0, "two_level")
+
+
+def _cavity(eps, h, eta=0.0):
+    spec = CavitySpec(epsilon=eps, mean_radius=1.0, h=h,
+                      variant="open" if eta else "closed",
+                      cap_strength=eta, cap_width=0.2)
+    return assemble_helmholtz(build_ellipse_grid(spec), spec)
+
+
+def _basis_matrix(g):
+    """Dense Q from the geometry's parity_basis."""
+    block, weight = g.parity_basis
+    Q = np.zeros((g.npts, g.npts))
+    for s in range(4):
+        on = weight[s] != 0.0
+        Q[np.nonzero(on)[0], block[s, on]] = weight[s, on]
+    return Q
+
+
+def _orthonormal(rows):
+    out = []
+    for v in rows:
+        for q in out:
+            v = v - (np.conj(q) * v).sum() * q
+        out.append(v / np.sqrt((np.abs(v) ** 2).sum()))
+    return np.array(out)
+
+
+class TestParityBasis:
+    @pytest.mark.parametrize("h", [0.1, 0.02])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.28, 0.3])
+    @pytest.mark.parametrize("eta", [0.0, 8.0])
+    def test_operator_is_bitwise_mirror_invariant(self, eps, h, eta):
+        op = _cavity(eps, h, eta)
+        g = op.geometry
+        where = {(x, y): i for i, (x, y) in
+                 enumerate(zip(g.pt_x.tolist(), g.pt_y.tolist()))}
+        for sx, sy in ((-1.0, 1.0), (1.0, -1.0)):
+            image = np.array([where[(sx * x, sy * y)] for x, y in
+                              zip(g.pt_x.tolist(), g.pt_y.tolist())])
+            mirrored = SparseOperator(op.n, image[op.rows], image[op.cols],
+                                      op.vals)
+            assert np.array_equal(mirrored.rows, op.rows)
+            assert np.array_equal(mirrored.cols, op.cols)
+            assert np.array_equal(mirrored.vals.view(np.uint64),
+                                  op.vals.view(np.uint64))
+
+    @pytest.mark.parametrize("eps", [0.0, 0.13])
+    def test_basis_is_orthogonal(self, eps):
+        g = _cavity(eps, 0.1).geometry
+        Q = _basis_matrix(g)
+        y = np.random.default_rng(7).standard_normal(g.npts)
+        assert abs(np.sqrt((Q @ y) @ (Q @ y)) - np.sqrt(y @ y)) \
+            <= 1e-14 * np.sqrt(y @ y)
+        assert np.abs(Q.T @ (Q @ y) - y).max() <= 1e-14 * np.abs(y).max()
+        assert np.abs(Q.T @ Q - np.eye(g.npts)).max() <= 1e-14
+
+    @pytest.mark.parametrize("h", [0.1, 0.02])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.28, 0.3])
+    def test_reduced_blocks_are_narrow_and_diagonal(self, eps, h):
+        op = _cavity(eps, h, 8.0)
+        red = parity_reduce(op)
+        assert red.symmetric and red.n == op.n
+        b = op.geometry.spec.semi_axes[1]
+        assert max(red.bandwidths()) <= int(np.floor(b / h)) + 2
+        block, weight = op.geometry.parity_basis
+        sector = np.zeros(op.n, dtype=np.int64)
+        for s in range(4):
+            sector[block[s, weight[s] != 0.0]] = s
+        assert np.array_equal(sector[red.rows], sector[red.cols])
+
+    def test_asymmetric_operator_rejected(self):
+        op = _cavity(0.1, 0.1, 8.0)
+        # one ulp on one diagonal entry: the check has no tolerance
+        vals = op.vals.copy()
+        first = int(np.nonzero(op.rows == op.cols)[0][0])
+        vals[first] = complex(np.nextafter(vals[first].real, np.inf),
+                              vals[first].imag)
+        bent = CavityOperator(op.geometry, op.rows, op.cols, vals)
+        with pytest.raises(ValueError, match="mirror"):
+            parity_reduce(bent)
+
+    @pytest.mark.parametrize("eps, eta, k", [(0.28, 8.0, 6.92),
+                                             (0.300, 1.0, 8.015),
+                                             (0.1, 0.0, 2.4)])
+    def test_matches_unreduced_solve(self, eps, eta, k):
+        op = _cavity(eps, 0.02, eta)
+        modes = solve_cavity_modes(op, k, 2)
+        oracle = shift_invert_eigs(op, k * k, 2)
+        for md, q in zip(modes, oracle):
+            lam = md.eigen_k ** 2
+            assert abs(lam - q.eigenvalue) <= 1e-10 * abs(q.eigenvalue)
+            v = md.psi * md.h
+            assert abs(abs((np.conj(v) * q.eigenvector).sum()) - 1.0) <= 1e-10
+            r = op.apply(v) - lam * v
+            assert md.residual_norm <= 1e-10
+            assert abs(np.sqrt((np.abs(r) ** 2).sum()) - md.residual_norm) \
+                <= 1e-12
+
+    @pytest.mark.parametrize("eta", [0.0, 5.0])
+    def test_degenerate_pair_spans_oracle_subspace(self, eta):
+        # at eps = 0 the J1 cos/sin pair is degenerate and falls into two
+        # sectors: only the eigenvalues and the spanned plane are defined
+        op = _cavity(0.0, 0.04, eta)
+        modes = solve_cavity_modes(op, 3.83, 2)
+        oracle = shift_invert_eigs(op, 3.83 ** 2, 2)
+        got = sorted((md.eigen_k ** 2 for md in modes), key=lambda z: z.real)
+        want = sorted((q.eigenvalue for q in oracle), key=lambda z: z.real)
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-10 * abs(b)
+        A = _orthonormal([md.psi * md.h for md in modes])
+        B = _orthonormal([q.eigenvector for q in oracle])
+        overlap = np.conj(A) @ B.T
+        assert abs(abs(np.linalg.det(overlap)) - 1.0) <= 1e-10
