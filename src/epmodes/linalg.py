@@ -4,10 +4,11 @@ The operators studied here are complex symmetric (H^T = H, not Hermitian), so
 the left eigenvector of every mode is the plain transpose of the right one and
 a right-eigenpair solver is all that is needed. The chain is:
 
-    banded LU (partial pivoting by largest modulus), with per-block inverses
+    banded LU (partial pivoting by largest modulus) over A's independent
+    diagonal blocks at once, as lanes of one batch, with per-block inverses
     of the triangular factors' diagonal blocks built once per factor
       -> shift-invert Arnoldi with full reorthogonalization; each solve
-         replays the triangles a block of rows at a time
+         replays the triangles a block of rows at a time in every lane
       -> complex Hessenberg QR (Schur form + back-substituted eigenvectors)
 
 numpy is used as array storage and elementwise arithmetic only: every
@@ -115,29 +116,38 @@ class EigenPair:
 class Factorization:
     """Banded LU of (A - shift I), P(A - shift I) = LU, stored for block replay.
 
-    Row-slot storage: T[r, t] holds matrix entry (r, r - kl + t), giving each
-    row a contiguous window of 2*kl + ku + 1 columns; the extra kl columns on
-    the right absorb pivoting fill-in. The rows are cut into blocks of B.
-    Block k (rows s = kB .. s+B-1) keeps:
+    A's independent diagonal blocks (the parity sectors of a rotated cavity)
+    are factored side by side as lanes of one batch: consecutive blocks are
+    packed next-fit into lanes no longer than the largest block, and each
+    lane is padded to that length with identity rows (matrix scale on the
+    diagonal, so they never trip the pivot check). An operator with one
+    block is a batch of one lane. `_rows[i]` is global row i's row in the
+    stacked lanes; zero rows past each lane's padding keep the replay in
+    bounds.
+
+    `_T[r, t]` is U's entry (r, r + 1 + t). Each row keeps the wu columns
+    right of its diagonal, where wu is the widest update the factor made, so
+    no row of U reaches further. Each lane is cut into blocks of B rows.
+    Block k (lane rows s = kB .. s+B-1) keeps, for every lane:
 
     - `_perm[k]`: the row order its B pivot swaps give its window of B + kl
-      rows, as indices into the padded solution vector;
+      rows, as indices into the stacked solution vector;
     - `_L[k]`: the (B + kl) x B multiplier panel in the dense-getrf
       convention (a swap at column t also swaps rows t and p of the panel
       columns to its left), with the unit-lower B x B head replaced by its
       inverse;
     - `_Uinv[k]`: the inverse of its B x B diagonal block of U.
 
-    A solve replays both triangles a block at a time with broadcast mat-vecs.
-    T carries zero rows past n, at least kl + 1 and enough to fill the last
-    block; in the inverses those rows are identity rows.
+    A solve replays both triangles a block at a time with broadcast mat-vecs
+    over all lanes.
     """
 
-    def __init__(self, n, kl, ku, band, perm, lpanel, uinv):
+    def __init__(self, n, kl, ku, band, rows, perm, lpanel, uinv):
         self.n = n
         self.kl = kl
         self.ku = ku
         self._T = band
+        self._rows = rows
         self._perm = perm
         self._L = lpanel
         self._Uinv = uinv
@@ -146,25 +156,28 @@ class Factorization:
         b = np.asarray(b, dtype=np.complex128)
         if b.shape != (self.n,):
             raise ValueError("rhs length mismatch")
-        n, kl, w = self.n, self.kl, self.kl + self.ku
         T, perm, L, Uinv = self._T, self._perm, self._L, self._Uinv
-        nb, B = Uinv.shape[:2]
-        x = np.zeros(nb * B + w, dtype=np.complex128)
-        x[:n] = b
+        kl, wu = self.kl, T.shape[1]
+        nb, nl, B = Uinv.shape[:3]
+        x = np.zeros(T.shape[0], dtype=np.complex128)
+        x[self._rows] = b
+        xl = x.reshape(nl, -1)
         for k in range(nb):
             s = k * B
             win = x[perm[k]]
-            y = (L[k, :B] * win[None, :B]).sum(axis=1)
-            x[s:s + B] = y
-            x[s + B:s + B + kl] = win[B:] - (L[k, B:] * y[None, :]).sum(axis=1)
-        xw = sliding_window_view(x, w)
+            y = (L[k, :, :B] * win[:, None, :B]).sum(axis=2)
+            xl[:, s:s + B] = y
+            xl[:, s + B:s + B + kl] = win[:, B:] - (
+                L[k, :, B:] * y[:, None, :]).sum(axis=2)
+        Tl = T.reshape(nl, T.shape[0] // nl, wu)
+        xw = sliding_window_view(xl, wu, axis=1)
         for k in range(nb - 1, -1, -1):
             s = k * B
-            r = x[s:s + B].copy()
-            x[s:s + B] = 0.0
-            r -= (T[s:s + B, kl + 1:] * xw[s + 1:s + 1 + B]).sum(axis=1)
-            x[s:s + B] = (Uinv[k] * r[None, :]).sum(axis=1)
-        return x[:n]
+            r = xl[:, s:s + B].copy()
+            xl[:, s:s + B] = 0.0
+            r -= (Tl[:, s:s + B] * xw[:, s + 1:s + 1 + B]).sum(axis=2)
+            xl[:, s:s + B] = (Uinv[k] * r[:, None, :]).sum(axis=2)
+        return x[self._rows]
 
 
 def _invert_unit_lower(L: np.ndarray) -> None:
@@ -193,6 +206,15 @@ def lu_factor(A: SparseOperator, shift: complex = 0.0) -> Factorization:
     Factors in float64 when the operator and the shift are both real (every
     closed cavity), in complex128 otherwise. The block data that
     `Factorization.solve` replays is built here, once per factor.
+
+    Row-slot storage while factoring: T[r, t] holds matrix entry
+    (r, r - kl + t), giving each row a contiguous window of 2*kl + ku + 1
+    columns; the extra kl columns on the right absorb pivoting fill-in. The
+    column loop runs once over all lanes. Row j of U ends at column j + ku
+    unless a swap pulled a longer row up; `reach`, the furthest column a
+    swap has brought into the rows not yet eliminated, keeps every row
+    r > j zero past max(r + ku, reach), so each column updates only the
+    columns its pivot row reaches.
     """
     n = A.n
     kl, ku = A.bandwidths()
@@ -200,67 +222,83 @@ def lu_factor(A: SparseOperator, shift: complex = 0.0) -> Factorization:
     # explicit inverses of blocks wider than the band cost accuracy on
     # narrow bands (1-D Laplacian: Ritz floor 5e-12 -> 2e-11 at B = 32)
     B = max(1, min(_BLOCK, kl + ku))
-    nb = -(-n // B)
+    # a block ends after row r when no entry (i, j) has min <= r < max
+    last = np.arange(n)
+    np.maximum.at(last, np.minimum(A.rows, A.cols),
+                  np.maximum(A.rows, A.cols))
+    ends = np.flatnonzero(np.maximum.accumulate(last) == np.arange(n)) + 1
+    sizes = np.diff(ends, prepend=0)
+    span = int(sizes.max(initial=0))
+    starts = [0]
+    for lo, hi in zip(ends - sizes, ends):
+        if hi - starts[-1] > span:
+            starts.append(int(lo))
+    starts = np.array(starts)
+    lens = np.diff(starts, append=n)
+    nl, nb = starts.size, -(-span // B)
+    ln = nb * B + kl + ku + 1  # zero rows keep strided views in bounds
+    base = ln * np.arange(nl)
+    rows = np.arange(n) + np.repeat(base - starts, lens)
     if not np.any(A.vals.imag) and complex(shift).imag == 0.0:
         vals, shift = A.vals.real, complex(shift).real
     else:
         vals = A.vals
-    # zero pad rows keep the strided views below and the last block in bounds
-    T = np.zeros((max(n + kl + 1, nb * B), w), dtype=vals.dtype)
-    T[A.rows, A.cols - A.rows + kl] = vals
-    T[np.arange(n), kl] -= shift
+    T = np.zeros((nl * ln, w), dtype=vals.dtype)
+    T[rows[A.rows], A.cols - A.rows + kl] = vals
+    T[rows, kl] -= shift
     scale = np.abs(T).max()
     if scale == 0.0:
         raise SingularShift("operator minus shift is identically zero")
-    pivtol = _PIVOT_RTOL * scale
+    pad = np.arange(span) >= lens[:, None]
+    T[(base[:, None] + np.arange(span))[pad], kl] = scale
 
-    perm = np.arange(B + kl) + B * np.arange(nb)[:, None]
-    L = np.zeros((nb, B + kl, B), dtype=T.dtype)
-    flat = T.reshape(-1)
+    perm = (B * np.arange(nb)[:, None, None] + np.arange(B + kl)
+            + base[:, None])
+    L = np.zeros((nb, nl, B + kl, B), dtype=T.dtype)
     sz = T.itemsize
-    # col[j, r] is entry (j + r, j); blk[j, r, c] is (j + 1 + r, j + 1 + c)
-    col = as_strided(flat[kl:], shape=(n, kl + 1),
-                     strides=(w * sz, (w - 1) * sz))
-    blk = as_strided(flat[w + kl:], shape=(n, kl, kl + ku),
-                     strides=(w * sz, (w - 1) * sz, sz))
+    # S[l, j, r, t] is lane l's entry (j + r, j + t)
+    S = as_strided(T.reshape(-1)[kl:], shape=(nl, span, kl + 1, kl + ku + 1),
+                   strides=(ln * w * sz, w * sz, (w - 1) * sz, sz))
+    reach = wu = 0
+    with np.errstate(all="ignore"):  # a failed pivot is reported below
+        for j in range(span):
+            Sj = S[:, j]
+            nbl, ncol = min(kl, span - 1 - j), min(kl + ku, span - 1 - j)
+            k, c = divmod(j, B)
+            below = np.abs(Sj[:, :nbl + 1, 0]).argmax(axis=1)
+            for l, d in enumerate(below.tolist()):
+                if d:
+                    perm[k, l, [c, c + d]] = perm[k, l, [c + d, c]]
+                    L[k, l, [c, c + d]] = L[k, l, [c + d, c]]
+                    Sj[l, [0, d], :ncol + 1] = Sj[l, [d, 0], :ncol + 1]
+                    reach = max(reach, j + d + ku)
+            m = Sj[:, 1:nbl + 1, 0] / Sj[:, :1, 0]
+            L[k, :, c + 1:c + 1 + nbl, c] = m
+            ub = min(max(ku, reach - j), ncol)
+            wu = max(wu, ub)
+            Sj[:, 1:nbl + 1, 1:ub + 1] -= m[:, :, None] * Sj[:, :1, 1:ub + 1]
+    # the first small pivot in global column order, as a single band has it
+    piv = np.abs(S[:, :, 0, 0])
+    at = np.where(piv <= _PIVOT_RTOL * scale,
+                  starts[:, None] + np.arange(span), n)
+    if at.min() < n:
+        bad = np.unravel_index(at.argmin(), at.shape)
+        raise SingularShift(
+            f"pivot modulus {piv[bad]:.3e} at column {at[bad]} below "
+            f"{_PIVOT_RTOL:.0e} of matrix scale"
+        )
+    del S, Sj  # frees the full band: U's diagonal and wu slots are left
+    T = T[:, kl:kl + max(wu, B - 1) + 1].copy()
+    _invert_unit_lower(L.reshape(-1, B + kl, B)[:, :B])
 
-    for j in range(n):
-        je = min(j + kl, n - 1)
-        colv = col[j, :je - j + 1]
-        ip = j + int(np.argmax(np.abs(colv)))
-        piv = T[ip, j - ip + kl]
-        if abs(piv) <= pivtol:
-            raise SingularShift(
-                f"pivot modulus {abs(piv):.3e} at column {j} below "
-                f"{_PIVOT_RTOL:.0e} of matrix scale"
-            )
-        k, c = divmod(j, B)
-        cend = min(j + kl + ku, n - 1)
-        if ip != j:
-            q = ip - k * B
-            perm[k, c], perm[k, q] = perm[k, q], perm[k, c]
-            L[k, [c, q]] = L[k, [q, c]]
-            lng = cend - j + 1
-            tmp = T[j, kl:kl + lng].copy()
-            T[j, kl:kl + lng] = T[ip, j - ip + kl:j - ip + kl + lng]
-            T[ip, j - ip + kl:j - ip + kl + lng] = tmp
-        nbl = je - j
-        if nbl:
-            m = colv[1:] / T[j, kl]
-            L[k, c + 1:c + 1 + nbl, c] = m
-            ublen = cend - j
-            if ublen:
-                u = T[j, kl + 1:kl + 1 + ublen]
-                blk[j, :nbl, :ublen] -= m[:, None] * u[None, :]
-    _invert_unit_lower(L[:, :B])
-
-    rows = B * np.arange(nb)[:, None, None] + np.arange(B)[None, :, None]
+    brow = base[:, None] + B * np.arange(nb)[:, None, None] + np.arange(B)
     off = np.arange(B)[None, :] - np.arange(B)[:, None]  # column minus row
-    U = np.where(off >= 0, T[rows, kl + np.maximum(off, 0)], 0.0)
-    pad = np.arange(n, nb * B)
-    U[pad // B, pad % B, pad % B] = 1.0
-    _invert_upper(U)
-    return Factorization(n, kl, ku, T, perm, L, U)
+    U = T[brow[..., None], np.maximum(off, 0)]
+    U[:, :, off < 0] = 0.0
+    tail = np.arange(span, nb * B)
+    U[tail // B, :, tail % B, tail % B] = 1.0
+    _invert_upper(U.reshape(-1, B, B))
+    return Factorization(n, kl, ku, T[:, 1:wu + 1], rows, perm, L, U)
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,7 @@ class TestBandedLU:
         M[3, 3], M[3, 2] = 1e-20, 0.0
         A = from_dense(M)
         lu = lu_factor(A)
-        assert lu._perm[1, 1] == 4
+        assert lu._perm[1, 0, 1] == 4
         b = np.arange(1.0, n + 1.0) + 0.5j
         x = lu.solve(b)
         assert norm(A.apply(x) - b) < 1e-12 * norm(b)
@@ -150,6 +150,107 @@ class TestBandedLU:
         A = SparseOperator(3, [0, 1, 2], [0, 1, 2], [2.0, 4.0, 8.0])
         x = lu_factor(A).solve(np.array([2.0, 4.0, 8.0], dtype=complex))
         assert np.allclose(x, 1.0)
+
+    @staticmethod
+    def lane_lengths(lu):
+        nl = lu._Uinv.shape[1]
+        return np.bincount(lu._rows // (lu._T.shape[0] // nl), minlength=nl)
+
+    @staticmethod
+    def check_solve(lu, M, shift=0.0, tol=1e-10):
+        # dense oracle, residual on A, and a bitwise rerun
+        n = M.shape[0]
+        b = np.arange(1.0, n + 1.0) - 0.5j * np.cos(np.arange(n))
+        x = lu.solve(b)
+        Ms = M - shift * np.eye(n)
+        assert norm(Ms @ x - b) < tol * norm(b)
+        xo = np.linalg.solve(Ms, b)
+        assert norm(x - xo) < 1e3 * tol * norm(xo)
+        assert lu.solve(b).tobytes() == x.tobytes()
+
+    def test_uneven_blocks_factor_as_lanes(self):
+        # blocks of 9, 1, 6, 4 and 9 rows pack next-fit into lanes of at
+        # most 9 rows: [9], [1, 6], [4], [9]; the 6-row block pivots
+        rng = np.random.default_rng(5)
+        sizes = [9, 1, 6, 4, 9]
+        n = sum(sizes)
+        M = np.zeros((n, n), dtype=complex)
+        edges = np.cumsum([0] + sizes)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            for i in range(lo, hi):
+                for j in range(max(lo, i - 2), min(hi, i + 3)):
+                    M[i, j] = complex(rng.standard_normal(),
+                                      rng.standard_normal())
+                M[i, i] += 6.0
+        M[10, 10] = 1e-13  # first column of the 6-row block
+        shift = 0.4 - 0.1j
+        A = from_dense(M)
+        lu = lu_factor(A, shift)
+        assert self.lane_lengths(lu).tolist() == [9, 7, 4, 9]
+        self.check_solve(lu, M, shift)
+        # each block's factored rows equal its own factor's, bit for bit
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            own = lu_factor(from_dense(M[lo:hi, lo:hi]), shift)
+            band = lu._T[lu._rows[lo:hi]]
+            width = own._T.shape[1]
+            assert band[:, :width].tobytes() == own._T[own._rows].tobytes()
+            assert not band[:, width:].any()
+            if lo == 10:  # the tiny diagonal takes its pivot from below
+                assert own._perm[0, 0, 0] != 0
+
+    def test_singular_shift_names_global_column(self):
+        # lanes [5 rows], [4 rows]: the second block's column 2 (global
+        # column 7) has an exact zero pivot
+        M = np.zeros((9, 9))
+        M[:5, :5] = 4.0 * np.eye(5) + np.eye(5, k=1) + np.eye(5, k=-1)
+        M[5:, 5:] = [[1, 1, 0, 0], [1, 2, 1, 0], [0, 1, 1, 1], [0, 0, 0, 2]]
+        with pytest.raises(SingularShift, match=r"at column 7 "):
+            lu_factor(from_dense(M))
+        # a later local column in an earlier block still comes first: the
+        # first block's last pivot becomes M[4, 4] - 1/d3 = 0, where
+        # d3 = 4 - 1/d2 is the pivot before it
+        lead = 4.0
+        for _ in range(3):
+            lead = 4.0 - 1.0 / lead
+        M[4, 4] = 1.0 / lead
+        with pytest.raises(SingularShift, match=r"at column 4 "):
+            lu_factor(from_dense(M))
+
+    def test_swaps_push_fill_past_ku(self):
+        # diagonally dominant except at a few rows, whose tiny pivots swap
+        # in a row from below and so carry U entries past ku
+        rng = np.random.default_rng(9)
+        n, kl, ku = 60, 3, 2
+        M = np.zeros((n, n), dtype=complex)
+        for i in range(n):
+            for j in range(max(0, i - kl), min(n, i + ku + 1)):
+                M[i, j] = complex(rng.standard_normal(), rng.standard_normal())
+            M[i, i] += 8.0
+        for i in (7, 23, 24, 41):
+            M[i, i] = 1e-12
+        lu = lu_factor(from_dense(M))
+        assert lu._T[:, lu.ku:].any()  # U entries past ku
+        self.check_solve(lu, M)
+
+    def test_rotated_cavity_factors_as_four_lanes(self):
+        from epmodes import models
+        for h, lanes in ((0.1, None), (0.02, [1858, 1794, 1821, 1758])):
+            spec = models.CavitySpec(0.2798, h=h, variant="open",
+                                     cap_strength=8.0, cap_width=0.2)
+            geom = models.build_ellipse_grid(spec)
+            A = models.parity_reduce(models.assemble_helmholtz(geom, spec))
+            shift = 6.92 ** 2
+            lu = lu_factor(A, shift)
+            got = self.lane_lengths(lu)
+            assert got.size == 4 and got.sum() == A.n
+            if lanes is None:  # small enough for the dense oracle
+                self.check_solve(lu, to_dense(A), shift)
+            else:
+                assert got.tolist() == lanes
+                b = np.cos(np.arange(A.n)) + 1j
+                x = lu.solve(b)
+                assert norm(A.apply(x) - shift * x - b) < 1e-10 * norm(b)
+                assert lu.solve(b).tobytes() == x.tobytes()
 
 
 class TestHessenbergEig:
