@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 from .models import Mode, neighbor_view
 
+NODE_CUTOFF = 1e-12  # default for extract_phases
+
 
 class EmptySet(Exception):
     """No samples survive: nothing to take statistics of."""
@@ -87,7 +89,8 @@ class CurrentField:
         return np.sqrt(self.jx**2 + self.jy**2)
 
 
-def extract_phases(m: Mode, node_cutoff: float = 1e-12) -> WeightedPhaseSet:
+def extract_phases(m: Mode,
+                   node_cutoff: float = NODE_CUTOFF) -> WeightedPhaseSet:
     """Principal phases and intensity weights, nodal points excluded.
 
     A sample is kept when its intensity exceeds node_cutoff times the peak

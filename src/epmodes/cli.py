@@ -21,14 +21,16 @@ import sys
 
 import numpy as np
 
-from .circstats import extract_phases, fold_sum, resultant
-from .entropy import HistogramPMF, chi_squared, entropy_report, renyi
-from .io import (ParseError, ValidationError, parse_config,
+from .circstats import NODE_CUTOFF, extract_phases, fold_sum, resultant
+from .entropy import (ALPHAS, K_MAX, N_BINS, HistogramPMF, chi_squared,
+                      entropy_report, renyi)
+from .io import (SVG_FIELDS, ParseError, ValidationError, parse_config,
                  parse_output_options, read_mode_file, read_sweep_csv,
                  write_mode_file, write_sweep_csv)
 from .models import Mode
 from .nonorth import phase_rigidity_cs, petermann
-from .sweep import SweepRecord, mode_diagnostics, run_sweep, solve_points
+from .sweep import (SweepRecord, check_fields, mode_diagnostics, run_sweep,
+                    solve_points)
 from .svgplot import emit_svg
 
 
@@ -63,6 +65,8 @@ def _cmd_sweep(args) -> int:
         opts["directory"] = args.out_dir
     if args.no_timestamp:
         opts["timestamp"] = False
+    if opts["svg"]:
+        check_fields(opts["svg_fields"], cfg.alphas)
     records = run_sweep(cfg)
     status = _report_failures(records)
     if status:
@@ -207,18 +211,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="diagnostics from EPMODE files")
     p.add_argument("modefiles", nargs="+", help="EPMODE file paths")
-    p.add_argument("--n-bins", type=int, default=720)
-    p.add_argument("--k-max", type=int, default=50)
-    p.add_argument("--alpha", default="1,1.5,2",
+    p.add_argument("--n-bins", type=int, default=N_BINS)
+    p.add_argument("--k-max", type=int, default=K_MAX)
+    p.add_argument("--alpha", default=",".join(f"{a:g}" for a in ALPHAS),
                    help="comma-separated entropy orders")
-    p.add_argument("--node-cutoff", type=float, default=1e-12)
+    p.add_argument("--node-cutoff", type=float, default=NODE_CUTOFF)
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.add_argument("--no-timestamp", action="store_true")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("plot", help="SVG from an existing sweep CSV")
     p.add_argument("csv", help="sweep CSV path")
-    p.add_argument("--fields", default="K,S_folded",
+    p.add_argument("--fields", default=",".join(SVG_FIELDS),
                    help="comma-separated fields; first owns the left axis")
     p.add_argument("--out", required=True, help="SVG output path")
     p.add_argument("--marker", type=float,

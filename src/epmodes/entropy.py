@@ -26,6 +26,11 @@ from .circstats import (
     fold_sum,
 )
 
+# analysis defaults: histogram bins, Fourier cutoff, Renyi orders
+N_BINS = 720
+K_MAX = 50
+ALPHAS = (1.0, 1.5, 2.0)
+
 
 @dataclass
 class HistogramPMF:
@@ -112,8 +117,8 @@ def chi_squared(p: HistogramPMF) -> float:
     return max(p.N_bins * float(fold_sum(p.p * p.p)) - 1.0, 0.0)
 
 
-def entropy_report(s: WeightedPhaseSet, N_bins: int = 720, K_max: int = 50,
-                   alphas: tuple = (1.0, 1.5, 2.0)) -> EntropyReport:
+def entropy_report(s: WeightedPhaseSet, N_bins: int = N_BINS,
+                   K_max: int = K_MAX, alphas: tuple = ALPHAS) -> EntropyReport:
     """Full scorecard of one phase set.
 
     A degenerate alignment (R_2 ~ 0, the self-orthogonal regime) takes zero

@@ -15,7 +15,8 @@ from dataclasses import fields
 
 import numpy as np
 
-from .models import PROVENANCES, CavitySpec, Mode, build_ellipse_grid
+from .models import (PROVENANCES, CavitySpec, InvalidSetting, Mode,
+                     build_ellipse_grid)
 from .sweep import ModeDiagnostics, SweepConfig, SweepRecord, anchored_grid
 
 
@@ -47,6 +48,11 @@ _SECTIONS = {
 # canonical grids used when a config names a model but no range
 _DEFAULT_RANGES = {"two_level": (-1.0, 1.0, 0.005),
                    "cavity": (0.10, 0.23, 0.005)}
+# config keys whose SweepConfig field is spelled differently
+_FIELD_OF_KEY = {"n_bins": "N_bins", "k_max": "K_max", "alpha": "alphas",
+                 "delta_range": "grid", "epsilon_range": "grid"}
+
+SVG_FIELDS = ("K", "S_folded")
 
 
 def _parse_sections(text: str, overrides=()) -> dict:
@@ -127,85 +133,48 @@ def _range_triple(key: str, value: str) -> np.ndarray:
         raise ValidationError(key, str(exc)) from None
 
 
-def _parse_grid(model: str, sweep_keys: dict) -> np.ndarray:
-    given = [k for k in ("delta_range", "epsilon_range", "grid")
-             if k in sweep_keys]
-    if len(given) > 1:
-        raise ValidationError(given[1], f"conflicts with {given[0]}")
-    if not given:
-        return anchored_grid(*_DEFAULT_RANGES[model])
-    key = given[0]
-    expected = "delta_range" if model == "two_level" else "epsilon_range"
-    if key != "grid" and key != expected:
-        raise ValidationError(key, f"model '{model}' sweeps {expected}")
-    if key == "grid":
-        return np.array(_float_list(key, sweep_keys[key]), dtype=np.float64)
-    return _range_triple(key, sweep_keys[key])
+# how a key's text becomes its value, where that is not float()
+_CONVERT = {"m": _int, "n_bins": _int, "k_max": _int, "alpha": _float_list,
+            "grid": _float_list, "delta_range": _range_triple,
+            "epsilon_range": _range_triple, "model": lambda key, text: text,
+            "variant": lambda key, text: text}
 
 
 def parse_config(text: str, overrides=()) -> SweepConfig:
     """Validated SweepConfig from config text and `section.key=value`
-    overrides, defaults applied.
+    overrides.
 
-    Defaults: N_bins=720, K_max=50, alpha = 1, 1.5, 2, node_cutoff=1e-12,
-    and the canonical parameter window for the chosen model when no range
-    is given.
+    A key left out keeps SweepConfig's default, and a model given no range
+    sweeps its canonical window. SweepConfig checks every range; a value it
+    rejects is reported under the key that set it, an epsilon under the
+    grid key.
     """
     sec = _parse_sections(text, overrides)
-    model_keys = sec["model"]
-    if "model" not in model_keys:
+    model = sec["model"].get("model")
+    if model is None:
         raise ValidationError("model", "required key missing")
-    model = model_keys["model"]
-    if model not in ("two_level", "cavity"):
+    if model not in _DEFAULT_RANGES:
         raise ValidationError("model", f"unknown model {model!r}")
-
-    kwargs = {}
-    for key, conv in (("g", _float), ("gamma", _float),
-                      ("cap_strength", _float), ("cap_width", _float),
-                      ("h", _float), ("mean_radius", _float),
-                      ("k_target", _float)):
-        if key in model_keys:
-            kwargs[key] = conv(key, model_keys[key])
-    if "variant" in model_keys:
-        if model_keys["variant"] not in ("closed", "open"):
-            raise ValidationError("variant",
-                                  f"must be closed or open, got "
-                                  f"{model_keys['variant']!r}")
-        kwargs["variant"] = model_keys["variant"]
-
-    grid = _parse_grid(model, sec["sweep"])
-    if "m" in sec["sweep"]:
-        m = _int("m", sec["sweep"]["m"])
-        if m < 1:
-            raise ValidationError("m", "must be >= 1")
-        kwargs["m"] = m
-
-    ana = sec["analysis"]
-    if "n_bins" in ana:
-        n_bins = _int("n_bins", ana["n_bins"])
-        if n_bins < 2:
-            raise ValidationError("n_bins", "must be >= 2")
-        kwargs["N_bins"] = n_bins
-    if "k_max" in ana:
-        k_max = _int("k_max", ana["k_max"])
-        if k_max < 1:
-            raise ValidationError("k_max", "must be >= 1")
-        kwargs["K_max"] = k_max
-    if "alpha" in ana:
-        alphas = _float_list("alpha", ana["alpha"])
-        if any(a <= 0.0 for a in alphas):
-            raise ValidationError("alpha", "orders must be positive")
-        kwargs["alphas"] = alphas
-    if "node_cutoff" in ana:
-        cut = _float("node_cutoff", ana["node_cutoff"])
-        if not 0.0 <= cut < 1.0:
-            raise ValidationError("node_cutoff", "must lie in [0, 1)")
-        kwargs["node_cutoff"] = cut
-
+    expected = "delta_range" if model == "two_level" else "epsilon_range"
+    kwargs, key_of = {}, {}
+    for name in ("model", "sweep", "analysis"):
+        for key, value in sec[name].items():
+            field = _FIELD_OF_KEY.get(key, key)
+            if field in key_of:  # only the grid has more than one key
+                raise ValidationError(key, f"conflicts with {key_of[field]}")
+            if field == "grid" and key not in ("grid", expected):
+                raise ValidationError(key, f"model '{model}' sweeps "
+                                      f"{expected}")
+            kwargs[field] = _CONVERT.get(key, _float)(key, value)
+            key_of[field] = key
+    if "grid" not in kwargs:
+        kwargs["grid"] = anchored_grid(*_DEFAULT_RANGES[model])
+    key_of["epsilon"] = key_of.get("grid")
     try:
-        return SweepConfig(model, grid, **kwargs)
-    except ValueError as exc:
-        raise ValidationError("config", str(exc)) from None
+        return SweepConfig(**kwargs)
+    except InvalidSetting as exc:
+        raise ValidationError(key_of.get(exc.field) or exc.field,
+                              str(exc)) from None
 
 
 def parse_output_options(text: str, overrides=()) -> dict:
@@ -215,7 +184,7 @@ def parse_output_options(text: str, overrides=()) -> dict:
     out = {"directory": sec.get("directory", "."),
            "csv": sec.get("csv", "sweep.csv"),
            "svg": sec.get("svg"),
-           "svg_fields": ("K", "S_folded"),
+           "svg_fields": SVG_FIELDS,
            "marker": None,
            "timestamp": True}
     if "svg_fields" in sec:
@@ -243,6 +212,10 @@ def _fmt(value) -> str:
 
 def _is_flag(f) -> bool:
     return f.type in (bool, "bool")
+
+
+def _is_text(f) -> bool:
+    return f.type in (str, "str")
 
 
 def csv_columns(alphas) -> list:
@@ -376,10 +349,6 @@ def read_sweep_csv(path) -> list:
     return records
 
 
-_GEOM_KEYS = ("epsilon", "mean_radius", "h", "variant", "cap_strength",
-              "cap_width")
-
-
 def write_mode_file(mode: Mode, path, parameter: float | None = None) -> None:
     """EPMODE 1 text format: header lines, blank line, one row per point.
 
@@ -399,13 +368,9 @@ def write_mode_file(mode: Mode, path, parameter: float | None = None) -> None:
              f"degenerate: {int(mode.degenerate)}",
              f"n: {mode.psi.size}"]
     if geo is not None:
-        spec = geo.spec
-        lines += [f"epsilon: {_fmt(float(spec.epsilon))}",
-                  f"mean_radius: {_fmt(float(spec.mean_radius))}",
-                  f"h: {_fmt(float(spec.h))}",
-                  f"variant: {spec.variant}",
-                  f"cap_strength: {_fmt(float(spec.cap_strength))}",
-                  f"cap_width: {_fmt(float(spec.cap_width))}"]
+        for f in fields(CavitySpec):
+            v = getattr(geo.spec, f.name)
+            lines.append(f"{f.name}: {_fmt(v if _is_text(f) else float(v))}")
         xs, ys = geo.pt_x, geo.pt_y
     else:
         xs = ys = np.zeros(mode.psi.size)
@@ -444,21 +409,20 @@ def read_mode_file(path):
         line_of[key] = ln
     if body_start is None:
         raise ParseError(len(lines), "missing blank line before data rows")
-    for key in ("provenance", "parameter", "eigenvalue", "residual",
-                "degenerate", "n"):
-        if key not in header:
-            raise ParseError(1, f"header is missing '{key}'")
 
     def value(key, conv=float):
+        if key not in header:
+            raise ParseError(1, f"header is missing '{key}'")
         try:
             return conv(header[key])
         except ValueError:
             raise ParseError(line_of[key],
                              f"bad {key}: {header[key]!r}") from None
 
-    if header["provenance"] not in PROVENANCES:
+    provenance = value("provenance", str)
+    if provenance not in PROVENANCES:
         raise ParseError(line_of["provenance"],
-                         f"unknown provenance {header['provenance']!r}")
+                         f"unknown provenance {provenance!r}")
     n = value("n", int)
     rows = lines[body_start:]
     if len(rows) != n:
@@ -479,18 +443,14 @@ def read_mode_file(path):
         raise ParseError(body_start + 1 + off,
                          f"bad data row {rows[off]!r}") from None
     geometry = None
-    if header["provenance"] != "two_level":
-        missing = [k for k in _GEOM_KEYS if k not in header]
-        if missing:
-            raise ParseError(1, f"header is missing '{missing[0]}'")
-        spec = {}
-        for key in _GEOM_KEYS:  # the first key that makes the spec invalid
-            spec[key] = header[key] if key == "variant" else value(key)
-            try:
-                CavitySpec(**spec)
-            except ValueError as exc:
-                raise ParseError(line_of[key], str(exc)) from None
-        geometry = build_ellipse_grid(CavitySpec(**spec))
+    if provenance != "two_level":
+        try:
+            spec = CavitySpec(**{f.name: value(f.name, str if _is_text(f)
+                                               else float)
+                                 for f in fields(CavitySpec)})
+        except InvalidSetting as exc:
+            raise ParseError(line_of[exc.field], str(exc)) from None
+        geometry = build_ellipse_grid(spec)
         if geometry.npts != n:
             raise ParseError(line_of["n"], f"geometry yields "
                              f"{geometry.npts} points, file has {n}")
@@ -499,7 +459,7 @@ def read_mode_file(path):
             raise ParseError(1, "row coordinates disagree with geometry")
     try:
         mode = Mode(geometry, psi, value("eigenvalue", _complex_pair),
-                    header["provenance"], value("residual"),
+                    provenance, value("residual"),
                     bool(value("degenerate", int)))
     except ValueError as exc:  # psi not intensity-normalized
         raise ParseError(body_start + 1, str(exc)) from None

@@ -488,15 +488,14 @@ def shift_invert_eigs(A: SparseOperator, shift: complex, m: int,
         order = np.argsort(np.abs(lam - shift), kind="stable")
         pairs: list[EigenPair] = []
         worst = 0.0
-        for idx in order[:max(m, min(k, m + 2))]:
+        for idx in order[:m]:
             v = (V[:k] * Y[:, idx][:, None]).sum(axis=0)
             v = _unit_gauge(v)
             r = A.apply(v) - lam[idx] * v
             res = float(_norm(r))
             best_res = min(best_res, res)
-            if len(pairs) < m:
-                pairs.append(EigenPair(complex(lam[idx]), v, res))
-                worst = max(worst, res)
+            pairs.append(EigenPair(complex(lam[idx]), v, res))
+            worst = max(worst, res)
         if worst <= tol and len(pairs) == m:
             return pairs
         if K >= min(n, cap):

@@ -25,6 +25,14 @@ class GridTooCoarse(Exception):
     """Fewer than 100 interior points: the grid cannot resolve a mode."""
 
 
+class InvalidSetting(ValueError):
+    """A setting out of its range; `field` names the dataclass field."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class TwoLevelParams:
     delta: float
@@ -33,9 +41,9 @@ class TwoLevelParams:
 
     def __post_init__(self):
         if not self.g > 0:
-            raise ValueError("coupling g must be positive")
+            raise InvalidSetting("g", "coupling g must be positive")
         if self.gamma < 0:
-            raise ValueError("loss gamma must be nonnegative")
+            raise InvalidSetting("gamma", "loss gamma must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -48,22 +56,26 @@ class CavitySpec:
     cap_width: float = 0.2
 
     def __post_init__(self):
+        # checked in field order, so the first bad field is the one named
         if not (0.0 <= self.epsilon < 0.5):
-            raise ValueError("epsilon must lie in [0, 0.5)")
+            raise InvalidSetting("epsilon", "epsilon must lie in [0, 0.5)")
         if not self.mean_radius > 0:
-            raise ValueError("mean_radius must be positive")
-        if self.variant not in ("closed", "open"):
-            raise ValueError("variant must be 'closed' or 'open'")
+            raise InvalidSetting("mean_radius", "mean_radius must be positive")
         if self.h is None:
             object.__setattr__(self, "h", self.mean_radius / 50.0)
         if not self.h > 0:
-            raise ValueError("grid step h must be positive")
+            raise InvalidSetting("h", "grid step h must be positive")
+        if self.variant not in ("closed", "open"):
+            raise InvalidSetting("variant",
+                                 "variant must be 'closed' or 'open'")
         if self.cap_strength < 0:
-            raise ValueError("cap_strength must be nonnegative")
+            raise InvalidSetting("cap_strength",
+                                 "cap_strength must be nonnegative")
         if self.variant == "closed" and self.cap_strength != 0.0:
-            raise ValueError("closed variant requires cap_strength = 0")
+            raise InvalidSetting("cap_strength",
+                                 "closed variant requires cap_strength = 0")
         if not self.cap_width > 0:
-            raise ValueError("cap_width must be positive")
+            raise InvalidSetting("cap_width", "cap_width must be positive")
 
     @property
     def semi_axes(self) -> tuple[float, float]:

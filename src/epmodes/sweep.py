@@ -10,16 +10,17 @@ argmax along the sweep, raw and refined to sub-grid precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .circstats import extract_phases
-from .entropy import entropy_report
+from .circstats import NODE_CUTOFF, extract_phases
+from .entropy import ALPHAS, K_MAX, N_BINS, entropy_report
 from .linalg import NoConvergence, SingularShift
 from .models import (
     CavitySpec,
     GridTooCoarse,
+    InvalidSetting,
     TwoLevelParams,
     assemble_helmholtz,
     build_ellipse_grid,
@@ -54,6 +55,8 @@ def anchored_grid(start: float, stop: float, step: float) -> np.ndarray:
 
 @dataclass
 class SweepConfig:
+    """Every setting of one sweep. Each range is checked here or in the
+    TwoLevelParams/CavitySpec built here, as an InvalidSetting naming it."""
     model: str
     grid: np.ndarray
     m: int = 2
@@ -61,48 +64,55 @@ class SweepConfig:
     g: float = 1.0
     gamma: float = 0.0
     # cavity geometry and absorber
-    variant: str = "closed"
-    cap_strength: float = 0.0
-    cap_width: float = 0.2
-    h: float | None = None
-    mean_radius: float = 1.0
+    variant: str = CavitySpec.variant
+    cap_strength: float = CavitySpec.cap_strength
+    cap_width: float = CavitySpec.cap_width
+    h: float | None = CavitySpec.h
+    mean_radius: float = CavitySpec.mean_radius
     k_target: float = 2.4
     # analysis settings shared by every row
-    N_bins: int = 720
-    K_max: int = 50
-    alphas: tuple = (1.0, 1.5, 2.0)
-    node_cutoff: float = 1e-12
+    N_bins: int = N_BINS
+    K_max: int = K_MAX
+    alphas: tuple = ALPHAS
+    node_cutoff: float = NODE_CUTOFF
 
     def __post_init__(self):
         if self.model not in ("two_level", "cavity"):
-            raise ValueError(f"unknown model '{self.model}'")
+            raise InvalidSetting("model", f"unknown model '{self.model}'")
         self.grid = np.asarray(self.grid, dtype=np.float64)
         if self.grid.ndim != 1 or self.grid.size < 1:
-            raise ValueError("grid must be a nonempty 1-D array")
+            raise InvalidSetting("grid", "grid must be a nonempty 1-D array")
         if self.grid.size > 1 and not np.all(np.diff(self.grid) > 0.0):
-            raise ValueError("grid must be strictly increasing")
+            raise InvalidSetting("grid", "grid must be strictly increasing")
         if self.m < 1:
-            raise ValueError("m must be >= 1")
+            raise InvalidSetting("m", "m must be >= 1")
         if self.model == "two_level":
             if self.m != 2:
-                raise ValueError("two-level sweeps always track both modes")
+                raise InvalidSetting(
+                    "m", "two-level sweeps always track both modes")
             TwoLevelParams(float(self.grid[0]), self.g, self.gamma)
+            self.spec(0.0)
         else:
             if not (self.k_target > 0.0):
-                raise ValueError("k_target must be positive")
+                raise InvalidSetting("k_target", "k_target must be positive")
             # epsilon constraints are monotone, so the endpoints vet the grid
             for eps in (float(self.grid[0]), float(self.grid[-1])):
-                CavitySpec(eps, self.mean_radius, self.h, self.variant,
-                           self.cap_strength, self.cap_width)
+                self.spec(eps)
         if self.N_bins < 2:
-            raise ValueError("N_bins must be >= 2")
+            raise InvalidSetting("N_bins", "N_bins must be >= 2")
         if self.K_max < 1:
-            raise ValueError("K_max must be >= 1")
+            raise InvalidSetting("K_max", "K_max must be >= 1")
         if len(self.alphas) < 1 or any(a <= 0.0 for a in self.alphas):
-            raise ValueError("alphas must be positive")
+            raise InvalidSetting("alphas", "alphas must be positive")
         self.alphas = tuple(float(a) for a in self.alphas)
         if not (0.0 <= self.node_cutoff < 1.0):
-            raise ValueError("node_cutoff must lie in [0, 1)")
+            raise InvalidSetting("node_cutoff",
+                                 "node_cutoff must lie in [0, 1)")
+
+    def spec(self, epsilon: float) -> CavitySpec:
+        """The cavity this sweep solves at deformation `epsilon`."""
+        return CavitySpec(epsilon, self.mean_radius, self.h, self.variant,
+                          self.cap_strength, self.cap_width)
 
 
 @dataclass(frozen=True)
@@ -139,9 +149,9 @@ class SweepRecord:
                     raise ValueError("row violates K * R2^2 = 1")
 
 
-def mode_diagnostics(m, N_bins: int = 720, K_max: int = 50,
-                     alphas: tuple = (1.0, 1.5, 2.0),
-                     node_cutoff: float = 1e-12) -> ModeDiagnostics:
+def mode_diagnostics(m, N_bins: int = N_BINS, K_max: int = K_MAX,
+                     alphas: tuple = ALPHAS,
+                     node_cutoff: float = NODE_CUTOFF) -> ModeDiagnostics:
     """Every per-mode scalar the sweep records, from one solved mode.
 
     R1, R2 and the entropies all come from the report's one mu_2 alignment.
@@ -212,8 +222,7 @@ def track_modes(prev: list, nxt: list) -> tuple:
 def _solve_point(cfg: SweepConfig, x: float) -> list:
     if cfg.model == "two_level":
         return two_level_modes(TwoLevelParams(x, cfg.g, cfg.gamma))
-    spec = CavitySpec(x, cfg.mean_radius, cfg.h, cfg.variant,
-                      cfg.cap_strength, cfg.cap_width)
+    spec = cfg.spec(x)
     op = assemble_helmholtz(build_ellipse_grid(spec), spec)
     return solve_cavity_modes(op, cfg.k_target, cfg.m)
 
@@ -285,6 +294,16 @@ def _row_value(record: SweepRecord, field: str, mode_index: int) -> float:
     if field == "renyi" or not hasattr(row, field):
         raise ValueError(f"unknown field '{field}'")
     return float(getattr(row, field))
+
+
+def check_fields(names, alphas) -> None:
+    """Raise the ValueError field_series raises for the first of `names` it
+    rejects on records with Renyi orders `alphas`, before any are solved."""
+    blank = SweepRecord(0.0, [ModeDiagnostics(**{
+        f.name: dict.fromkeys(alphas, np.nan) if f.name == "renyi" else np.nan
+        for f in fields(ModeDiagnostics)})])
+    for name in names:
+        _row_value(blank, name, 0)
 
 
 def field_series(records: list, field: str, mode_index: int = 0):

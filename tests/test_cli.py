@@ -75,6 +75,22 @@ class TestSweepCommand:
         header = (out / "run.csv").read_text().splitlines()[0]
         assert "renyi_3" in header
 
+    @pytest.mark.parametrize("fields, bad", [("K, Sfolded", "Sfolded"),
+                                             ("K, renyi_3", "renyi_3")])
+    def test_unknown_svg_field_rejected_before_solving(
+            self, config_path, tmp_path, capsys, fields, bad):
+        out = tmp_path / "out"
+        assert main(["sweep", config_path, "--out-dir", str(out),
+                     "-O", f"output.svg_fields={fields}"]) == 2
+        assert bad in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_svg_field_spelled_as_float_order(self, config_path, tmp_path):
+        out = tmp_path / "out"
+        assert main(["sweep", config_path, "--out-dir", str(out),
+                     "-O", "output.svg_fields=R2, renyi_1.0"]) == 0
+        assert (out / "run.svg").exists()
+
     def test_bad_override_format(self, config_path, capsys):
         assert main(["sweep", config_path, "-O", "gamma=2"]) == 2
         assert "section.key=value" in capsys.readouterr().err

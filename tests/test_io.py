@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epmodes.io import (ParseError, ValidationError, csv_columns,
-                        parse_config, parse_output_options, read_mode_file,
-                        read_sweep_csv, write_mode_file, write_sweep_csv)
+from epmodes.io import (_FIELD_OF_KEY, _SECTIONS, ParseError,
+                        ValidationError, csv_columns, parse_config,
+                        parse_output_options, read_mode_file, read_sweep_csv,
+                        write_mode_file, write_sweep_csv)
 from epmodes.models import CavitySpec, assemble_helmholtz, \
     build_ellipse_grid, solve_cavity_modes, two_level_modes, TwoLevelParams
 from epmodes.sweep import (ModeDiagnostics, SweepConfig, SweepRecord,
@@ -163,9 +164,28 @@ class TestParseConfig:
             parse_config("[model]\nmodel = cavity\nvariant = leaky\n")
         assert err.value.field == "variant"
 
+    @pytest.mark.parametrize("model, lines, field", [
+        ("cavity", "variant = open\ncap_strength = -1", "cap_strength"),
+        ("cavity", "h = 0", "h"),
+        ("cavity", "mean_radius = 0", "mean_radius"),
+        ("cavity", "cap_width = 0", "cap_width"),
+        ("cavity", "k_target = 0", "k_target"),
+        ("two_level", "g = 0", "g"),
+        ("two_level", "gamma = -1", "gamma"),
+        ("two_level", "variant = leaky", "variant"),
+        # two-level sweeps vet the cavity keys too
+        ("two_level", "cap_strength = -1", "cap_strength"),
+    ])
+    def test_bad_model_values(self, model, lines, field):
+        with pytest.raises(ValidationError) as err:
+            parse_config(f"[model]\nmodel = {model}\n{lines}\n")
+        assert err.value.field == field
+
     @pytest.mark.parametrize("line,field", [
         ("m = 0", "m"),
         ("m = 1.5", "m"),
+        ("epsilon_range = 0.4:0.6:0.05", "epsilon_range"),
+        ("grid = 0.2, 0.1", "grid"),
     ])
     def test_bad_sweep_values(self, line, field):
         with pytest.raises(ValidationError) as err:
@@ -181,6 +201,15 @@ class TestParseConfig:
         with pytest.raises(ValidationError) as err:
             parse_config(BASE + f"[analysis]\n{line}\n")
         assert err.value.field == field
+
+    def test_every_setting_has_one_key(self):
+        # each SweepConfig field has exactly one key, except the grid, which
+        # delta_range, epsilon_range and grid all set
+        names = [_FIELD_OF_KEY.get(k, k)
+                 for s in ("model", "sweep", "analysis") for k in _SECTIONS[s]]
+        assert set(names) == {f.name for f in dataclasses.fields(SweepConfig)}
+        assert names.count("grid") == 3
+        assert len(names) - len(set(names)) == 2
 
 
 class TestOutputOptions:
@@ -490,8 +519,11 @@ class TestModeFile:
 
 
     @pytest.mark.parametrize("key, bad", [("epsilon", "0.7"),
+                                          ("mean_radius", "0"),
+                                          ("h", "0"),
                                           ("variant", "shut"),
                                           ("cap_strength", "-1"),
+                                          ("cap_width", "0"),
                                           ("provenance", "cavity_x"),
                                           ("n", "17")])
     def test_invalid_header_value_names_line(self, cavity_mode, tmp_path,
@@ -508,6 +540,15 @@ class TestModeFile:
         with pytest.raises(ParseError) as err:
             read_mode_file(path)
         assert err.value.line_number == at + 1
+
+    def test_spec_header_follows_cavity_spec(self, cavity_mode, tmp_path):
+        path = tmp_path / "c.ep"
+        write_mode_file(cavity_mode, path)
+        lines = path.read_text().splitlines()
+        keys = [ln.partition(": ")[0] for ln in lines[1:lines.index("")]]
+        assert keys == ["provenance", "parameter", "eigenvalue", "residual",
+                        "degenerate", "n"] \
+            + [f.name for f in dataclasses.fields(CavitySpec)]
 
     def test_unnormalized_psi_names_first_row(self, tmp_path):
         mode = two_level_modes(TwoLevelParams(0.3, 1.0, 2.0))[0]

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from epmodes import linalg
 from epmodes.linalg import (
     SparseOperator,
     lu_factor,
@@ -341,6 +342,27 @@ class TestShiftInvert:
             shift_invert_eigs(A, 9.0, 2, max_iter=1)
         assert info.value.max_iter == 1
         assert info.value.best_residual >= 0.0
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_measures_only_the_wanted_ritz_vectors(self, monkeypatch, m):
+        # each convergence check applies A once per pair it can return
+        calls = {"apply": 0, "check": 0}
+        apply, eig = SparseOperator.apply, linalg.hessenberg_eig
+
+        def counted_apply(self, x):
+            calls["apply"] += 1
+            return apply(self, x)
+
+        def counted_eig(H):
+            calls["check"] += 1
+            return eig(H)
+
+        monkeypatch.setattr(SparseOperator, "apply", counted_apply)
+        monkeypatch.setattr(linalg, "hessenberg_eig", counted_eig)
+        pairs = shift_invert_eigs(laplacian_1d(99, 1.0 / 100.0), 9.0, m,
+                                  tol=1e-11)
+        assert len(pairs) == m and calls["check"] >= 1
+        assert calls["apply"] == m * calls["check"]
 
     def test_argument_validation(self):
         A = SparseOperator(2, [0, 1], [0, 1], [1.0, 2.0])
