@@ -9,91 +9,4 @@ Sweeps over a model parameter track modes across avoided crossings and report
 where the diagnostics peak.
 """
 
-from .linalg import (
-    SparseOperator,
-    EigenPair,
-    Factorization,
-    lu_factor,
-    shift_invert_eigs,
-    eig2x2,
-    SingularShift,
-    NoConvergence,
-)
-from .models import (
-    TwoLevelParams,
-    CavitySpec,
-    GridGeometry,
-    GridTooCoarse,
-    Mode,
-    two_level_modes,
-    build_ellipse_grid,
-    assemble_helmholtz,
-    solve_cavity_modes,
-)
-from .circstats import extract_phases, resultant, current_field
-from .entropy import HistogramPMF, shannon, renyi, chi_squared, entropy_report
-from .nonorth import phase_rigidity_cs, petermann, rigidity_report
-from .sweep import (
-    SweepConfig,
-    SweepRecord,
-    run_sweep,
-    anchored_grid,
-    field_series,
-    detect_peaks,
-    mode_diagnostics,
-)
-from .io import (
-    parse_config,
-    write_sweep_csv,
-    read_sweep_csv,
-    write_mode_file,
-    read_mode_file,
-)
-from .svgplot import emit_svg
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "SparseOperator",
-    "EigenPair",
-    "Factorization",
-    "lu_factor",
-    "shift_invert_eigs",
-    "eig2x2",
-    "SingularShift",
-    "NoConvergence",
-    "TwoLevelParams",
-    "CavitySpec",
-    "GridGeometry",
-    "GridTooCoarse",
-    "Mode",
-    "two_level_modes",
-    "build_ellipse_grid",
-    "assemble_helmholtz",
-    "solve_cavity_modes",
-    "extract_phases",
-    "resultant",
-    "current_field",
-    "HistogramPMF",
-    "shannon",
-    "renyi",
-    "chi_squared",
-    "entropy_report",
-    "phase_rigidity_cs",
-    "petermann",
-    "rigidity_report",
-    "SweepConfig",
-    "SweepRecord",
-    "run_sweep",
-    "anchored_grid",
-    "field_series",
-    "detect_peaks",
-    "mode_diagnostics",
-    "parse_config",
-    "write_sweep_csv",
-    "read_sweep_csv",
-    "write_mode_file",
-    "read_mode_file",
-    "emit_svg",
-    "__version__",
-]
+from . import circstats, entropy, io, linalg, models, nonorth, svgplot, sweep

@@ -24,26 +24,19 @@ import numpy as np
 from .circstats import NODE_CUTOFF, extract_phases, fold_sum, resultant
 from .entropy import (ALPHAS, K_MAX, N_BINS, HistogramPMF, chi_squared,
                       entropy_report, renyi)
-from .io import (SVG_FIELDS, ParseError, ValidationError, parse_config,
-                 parse_output_options, read_mode_file, read_sweep_csv,
-                 write_mode_file, write_sweep_csv)
+from .io import (SVG_FIELDS, ParseError, ValidationError, float_list,
+                 parse_config, parse_output_options, read_mode_file,
+                 read_sweep_csv, read_text, split_list, write_mode_file,
+                 write_sweep_csv)
 from .models import Mode
 from .nonorth import phase_rigidity_cs, petermann
-from .sweep import (SweepRecord, check_fields, mode_diagnostics, run_sweep,
-                    solve_points)
+from .sweep import (SweepRecord, check_analysis, check_fields,
+                    mode_diagnostics, run_sweep, solve_points)
 from .svgplot import emit_svg
 
 
-def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc}") from exc
-
-
 def _load_config(args):
-    text = _read_text(args.config)
+    text = read_text(args.config)
     overrides = args.override or ()
     return parse_config(text, overrides), parse_output_options(text, overrides)
 
@@ -104,7 +97,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    alphas = tuple(float(a) for a in args.alpha.split(","))
+    alphas = float_list("--alpha", args.alpha)
+    check_analysis(args.n_bins, args.k_max, alphas, args.node_cutoff)
     records = []
     for path in args.modefiles:
         mode, header = read_mode_file(path)
@@ -120,8 +114,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    fields = split_list("--fields", args.fields)
     records = read_sweep_csv(args.csv)
-    fields = tuple(f.strip() for f in args.fields.split(",") if f.strip())
     emit_svg(records, fields, args.out, marker=args.marker)
     print(f"wrote {args.out}")
     return 0

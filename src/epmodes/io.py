@@ -4,7 +4,8 @@ Everything here is line-oriented UTF-8 text. Floating-point values are
 written with repr(), the shortest decimal that round-trips, so rereading a
 file reproduces the original doubles bit for bit and reruns under the same
 config can be compared byte for byte (the timestamp comment is the one
-exception, and it can be suppressed).
+exception, and it can be suppressed). `read_text` and `write_text` are the
+package's only file access.
 """
 
 from __future__ import annotations
@@ -12,12 +13,31 @@ from __future__ import annotations
 import csv
 import datetime
 from dataclasses import fields
+from io import StringIO
 
 import numpy as np
 
 from .models import (PROVENANCES, CavitySpec, InvalidSetting, Mode,
                      build_ellipse_grid)
 from .sweep import ModeDiagnostics, SweepConfig, SweepRecord, anchored_grid
+
+
+def read_text(path) -> str:
+    """A file's UTF-8 text with its line ends as stored."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc}") from exc
+
+
+def write_text(path, text: str) -> None:
+    """Write `text` as UTF-8 with its line ends as given."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 class ParseError(Exception):
@@ -118,8 +138,17 @@ def _int(key: str, value: str) -> int:
         raise ValidationError(key, f"not an integer: {value!r}") from None
 
 
-def _float_list(key: str, value: str) -> tuple:
-    return tuple(_float(key, part.strip()) for part in value.split(","))
+def split_list(key: str, value: str) -> tuple:
+    """The stripped items of a comma list; an empty item is an error naming
+    `key`, the config key or command-line flag that gave the list."""
+    items = tuple(part.strip() for part in value.split(","))
+    if not all(items):
+        raise ValidationError(key, "empty item in comma list")
+    return items
+
+
+def float_list(key: str, value: str) -> tuple:
+    return tuple(_float(key, item) for item in split_list(key, value))
 
 
 def _range_triple(key: str, value: str) -> np.ndarray:
@@ -134,8 +163,8 @@ def _range_triple(key: str, value: str) -> np.ndarray:
 
 
 # how a key's text becomes its value, where that is not float()
-_CONVERT = {"m": _int, "n_bins": _int, "k_max": _int, "alpha": _float_list,
-            "grid": _float_list, "delta_range": _range_triple,
+_CONVERT = {"m": _int, "n_bins": _int, "k_max": _int, "alpha": float_list,
+            "grid": float_list, "delta_range": _range_triple,
             "epsilon_range": _range_triple, "model": lambda key, text: text,
             "variant": lambda key, text: text}
 
@@ -188,10 +217,7 @@ def parse_output_options(text: str, overrides=()) -> dict:
            "marker": None,
            "timestamp": True}
     if "svg_fields" in sec:
-        fields = tuple(p.strip() for p in sec["svg_fields"].split(","))
-        if not all(fields):
-            raise ValidationError("svg_fields", "empty field name")
-        out["svg_fields"] = fields
+        out["svg_fields"] = split_list("svg_fields", sec["svg_fields"])
     if "marker" in sec:
         out["marker"] = _float("marker", sec["marker"])
     if "timestamp" in sec:
@@ -272,31 +298,26 @@ def write_sweep_csv(records: list, path, timestamp: bool = True) -> None:
             alphas = tuple(sorted(rec.modes[0].renyi))
             break
 
-    def _emit(fh):
-        if timestamp:
-            stamp = datetime.datetime.now(datetime.timezone.utc)
-            fh.write(f"# written {stamp.isoformat()}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(csv_columns(alphas))
-        for rec in records:
-            if rec.error is not None:
-                writer.writerow([_fmt(rec.parameter), -1]
-                                + _diagnostic_cells(None, alphas)
-                                + [0, rec.error])
-                continue
-            for mi, row in enumerate(rec.modes):
-                writer.writerow([_fmt(rec.parameter), mi]
-                                + _diagnostic_cells(row, alphas)
-                                + [int(rec.track_ambiguous), ""])
-
+    buf = StringIO()
+    if timestamp:
+        stamp = datetime.datetime.now(datetime.timezone.utc)
+        buf.write(f"# written {stamp.isoformat()}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(csv_columns(alphas))
+    for rec in records:
+        if rec.error is not None:
+            writer.writerow([_fmt(rec.parameter), -1]
+                            + _diagnostic_cells(None, alphas)
+                            + [0, rec.error])
+            continue
+        for mi, row in enumerate(rec.modes):
+            writer.writerow([_fmt(rec.parameter), mi]
+                            + _diagnostic_cells(row, alphas)
+                            + [int(rec.track_ambiguous), ""])
     if hasattr(path, "write"):
-        _emit(path)
-        return
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            _emit(fh)
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+        path.write(buf.getvalue())
+    else:
+        write_text(path, buf.getvalue())
 
 
 def read_sweep_csv(path) -> list:
@@ -305,11 +326,9 @@ def read_sweep_csv(path) -> list:
     Mode index 0 (or -1, a failed point) starts a record; index i > 0
     continues the record above it, which must then hold modes 0..i-1.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc}") from exc
+    # split at \n, \r and \r\n only, as csv expects; str.splitlines would
+    # also split inside a cell at \f, \x1c, \u2028 and the like
+    lines = StringIO(read_text(path), newline="").readlines()
     # comments read as empty rows, so reader.line_num is the file's line
     reader = csv.reader("\n" if ln.startswith("#") else ln for ln in lines)
     rows = [(reader.line_num, cells) for cells in reader
@@ -379,20 +398,12 @@ def write_mode_file(mode: Mode, path, parameter: float | None = None) -> None:
         lines.append(f"{i} {_fmt(float(xs[i]))} {_fmt(float(ys[i]))} "
                      f"{_fmt(float(mode.psi[i].real))} "
                      f"{_fmt(float(mode.psi[i].imag))}")
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_mode_file(path):
     """(Mode, header dict) from an EPMODE 1 file written by write_mode_file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc}") from exc
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != "EPMODE 1":
         raise ParseError(1, "not an EPMODE 1 file")
     header = {}

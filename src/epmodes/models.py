@@ -244,7 +244,10 @@ def assemble_helmholtz(geom: GridGeometry, spec: CavitySpec) -> CavityOperator:
     Cheng & Kang, J. Comput. Phys. 176 (2002) 205); only the diagonal moves,
     so symmetry is kept. The open variant subtracts i*eta*W on the diagonal.
     Both variants are complex symmetric; the closed one is real symmetric.
+    `spec` must equal `geom.spec`: the mask and absorber come from the grid.
     """
+    if spec != geom.spec:
+        raise ValueError("spec differs from the spec geom was built from")
     h = geom.h
     h2 = h * h
     a, b = spec.semi_axes

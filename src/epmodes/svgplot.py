@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+from .io import write_text
 from .sweep import field_series
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -152,8 +153,4 @@ def emit_svg(records, fields, path, marker=None):
         ly += 15.0
     out.append("</svg>")
 
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(out) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+    write_text(path, "\n".join(out) + "\n")

@@ -53,6 +53,20 @@ def anchored_grid(start: float, stop: float, step: float) -> np.ndarray:
     return (k0 + np.arange(n, dtype=np.float64)) * step
 
 
+def check_analysis(N_bins: int, K_max: int, alphas: tuple,
+                   node_cutoff: float) -> None:
+    """The analysis settings' range checks, each an InvalidSetting naming
+    its SweepConfig field; `analyze` runs them before it reads a file."""
+    if N_bins < 2:
+        raise InvalidSetting("N_bins", "N_bins must be >= 2")
+    if K_max < 1:
+        raise InvalidSetting("K_max", "K_max must be >= 1")
+    if len(alphas) < 1 or not all(a > 0.0 for a in alphas):  # NaN too
+        raise InvalidSetting("alphas", "alpha must be positive")
+    if not (0.0 <= node_cutoff < 1.0):
+        raise InvalidSetting("node_cutoff", "node_cutoff must lie in [0, 1)")
+
+
 @dataclass
 class SweepConfig:
     """Every setting of one sweep. Each range is checked here or in the
@@ -98,16 +112,8 @@ class SweepConfig:
             # epsilon constraints are monotone, so the endpoints vet the grid
             for eps in (float(self.grid[0]), float(self.grid[-1])):
                 self.spec(eps)
-        if self.N_bins < 2:
-            raise InvalidSetting("N_bins", "N_bins must be >= 2")
-        if self.K_max < 1:
-            raise InvalidSetting("K_max", "K_max must be >= 1")
-        if len(self.alphas) < 1 or any(a <= 0.0 for a in self.alphas):
-            raise InvalidSetting("alphas", "alphas must be positive")
+        check_analysis(self.N_bins, self.K_max, self.alphas, self.node_cutoff)
         self.alphas = tuple(float(a) for a in self.alphas)
-        if not (0.0 <= self.node_cutoff < 1.0):
-            raise InvalidSetting("node_cutoff",
-                                 "node_cutoff must lie in [0, 1)")
 
     def spec(self, epsilon: float) -> CavitySpec:
         """The cavity this sweep solves at deformation `epsilon`."""

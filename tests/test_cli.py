@@ -235,6 +235,17 @@ class TestSolveAndAnalyze:
     def test_analyze_missing_file(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "no.ep")]) == 4
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n-bins", "1", "N_bins must be >= 2"),
+        ("--alpha", "1,nan", "alpha must be positive"),
+        ("--alpha", "1,,2", "--alpha: empty item"),
+    ], ids=["n_bins", "nan_alpha", "empty_alpha"])
+    def test_analyze_checks_flags_before_reading(self, tmp_path, capsys,
+                                                 flag, value, message):
+        # a bad flag is a usage error (2), not the missing file's (4)
+        assert main(["analyze", str(tmp_path / "no.ep"), flag, value]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestPlotCommand:
     @pytest.fixture
@@ -256,6 +267,13 @@ class TestPlotCommand:
         assert main(["plot", csv_path, "--fields", "bogus",
                      "--out", str(tmp_path / "x.svg")]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_plot_empty_field_rejected(self, csv_path, tmp_path, capsys):
+        svg = tmp_path / "x.svg"
+        assert main(["plot", csv_path, "--fields", "K,,S_folded",
+                     "--out", str(svg)]) == 2
+        assert "--fields: empty item" in capsys.readouterr().err
+        assert not svg.exists()
 
     def test_plot_missing_csv(self, tmp_path):
         assert main(["plot", str(tmp_path / "no.csv"),

@@ -202,6 +202,18 @@ class TestParseConfig:
             parse_config(BASE + f"[analysis]\n{line}\n")
         assert err.value.field == field
 
+    @pytest.mark.parametrize("section,line,key", [
+        ("analysis", "alpha = 1,,2", "alpha"),
+        ("sweep", "grid = 0.1, ,0.2", "grid"),
+        ("output", "svg_fields = K,,S_folded", "svg_fields"),
+    ])
+    def test_empty_list_item_names_key(self, section, line, key):
+        text = f"[model]\nmodel = cavity\n[{section}]\n{line}\n"
+        with pytest.raises(ValidationError, match="empty item") as err:
+            parse_output_options(text)
+            parse_config(text)
+        assert err.value.field == key
+
     def test_every_setting_has_one_key(self):
         # each SweepConfig field has exactly one key, except the grid, which
         # delta_range, epsilon_range and grid all set

@@ -7,6 +7,7 @@ never calls it. Analytic eigenvalues of the 1-D Dirichlet Laplacian and the
 
 import ast
 import cmath
+import inspect
 import re
 from pathlib import Path
 
@@ -430,6 +431,40 @@ def test_src_never_names_numpy_linalg():
             for i, line in enumerate(path.read_text().splitlines(), 1)
             if named.search(line)]
     assert hits == []
+
+
+def _open_calls(tree):
+    return {node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and "open" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None))}
+
+
+def test_only_io_opens_files():
+    # io.read_text and io.write_text own file access: its encoding, its line
+    # ends and its error wording
+    pkg = Path(__file__).resolve().parent.parent / "src" / "epmodes"
+    calls = {(path.name, ln) for path in sorted(pkg.glob("*.py"))
+             for ln in _open_calls(ast.parse(path.read_text()))}
+    owned = {("io.py", ln)
+             for fn in ast.parse((pkg / "io.py").read_text()).body
+             if isinstance(fn, ast.FunctionDef)
+             and fn.name in ("read_text", "write_text")
+             for ln in _open_calls(fn)}
+    assert len(owned) == 2 and calls == owned
+
+
+def test_package_binds_only_submodules():
+    # names are imported from their modules; `import epmodes` just loads them
+    init = Path(__file__).resolve().parent.parent / "src" / "epmodes" \
+        / "__init__.py"
+    body = ast.parse(init.read_text()).body
+    assert isinstance(body[0], ast.Expr)  # the docstring
+    assert all(isinstance(node, ast.ImportFrom) and node.level == 1
+               and node.module is None for node in body[1:])
+    import epmodes
+    assert all(inspect.ismodule(v) for k, v in vars(epmodes).items()
+               if not k.startswith("__"))
 
 
 def test_src_never_imports_private_sibling_names():

@@ -171,6 +171,21 @@ class TestAssembly:
         assert op.symmetric  # constructor verifies the transpose closure
         assert np.abs(op.vals.imag).max() > 0.0
 
+    def test_spec_must_be_the_grids(self):
+        # the grid's mask and absorber profile belong to its own cavity; a
+        # second spec would mix two cavities into one operator
+        s = CavitySpec(epsilon=0.1, h=0.05, variant="open", cap_strength=1.0,
+                       cap_width=0.4)
+        g = build_ellipse_grid(s)
+        other = CavitySpec(epsilon=0.1, h=0.05, variant="open",
+                           cap_strength=9.0, cap_width=0.4)
+        with pytest.raises(ValueError, match="spec"):
+            assemble_helmholtz(g, other)
+        same = CavitySpec(epsilon=0.1, h=0.05, variant="open",
+                          cap_strength=1.0, cap_width=0.4)
+        assert np.array_equal(assemble_helmholtz(g, same).vals,
+                              assemble_helmholtz(g, s).vals)
+
 
 @pytest.fixture(scope="module")
 def disc_h01():
