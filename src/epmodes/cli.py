@@ -83,7 +83,7 @@ def _cmd_solve(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     records = []
     written = 0
-    for idx, (x, modes, error) in enumerate(solve_points(cfg)):
+    for idx, (x, modes, error, _) in enumerate(solve_points(cfg)):
         records.append(SweepRecord(x, [], error))
         for j, md in enumerate(modes):
             name = f"mode_p{idx:04d}_m{j}.ep"

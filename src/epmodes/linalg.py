@@ -85,7 +85,7 @@ class SparseOperator:
         self.symmetric = bool(symmetric)
         if self.symmetric:
             tkey = np.sort(self.cols * n + self.rows)
-            if not np.array_equal(np.sort(key), tkey):
+            if not np.array_equal(key, tkey):
                 raise ValueError("symmetric flag set but pattern is not")
             torder = np.lexsort((self.rows, self.cols))
             if not np.array_equal(self.vals[torder], self.vals):
@@ -117,13 +117,12 @@ class Factorization:
     """Banded LU of (A - shift I), P(A - shift I) = LU, stored for block replay.
 
     A's independent diagonal blocks (the parity sectors of a rotated cavity)
-    are factored side by side as lanes of one batch: consecutive blocks are
-    packed next-fit into lanes no longer than the largest block, and each
-    lane is padded to that length with identity rows (matrix scale on the
-    diagonal, so they never trip the pivot check). An operator with one
-    block is a batch of one lane. `_rows[i]` is global row i's row in the
-    stacked lanes; zero rows past each lane's padding keep the replay in
-    bounds.
+    are factored side by side as lanes of one batch, one lane per block,
+    each padded to the largest block's length with identity rows (matrix
+    scale on the diagonal, so they never trip the pivot check). An operator
+    with one block is a batch of one lane. `_rows[i]` is global row i's row
+    in the stacked lanes; zero rows past each lane's padding keep the replay
+    in bounds.
 
     `_T[r, t]` is U's entry (r, r + 1 + t). Each row keeps the wu columns
     right of its diagonal, where wu is the widest update the factor made, so
@@ -227,14 +226,9 @@ def lu_factor(A: SparseOperator, shift: complex = 0.0) -> Factorization:
     np.maximum.at(last, np.minimum(A.rows, A.cols),
                   np.maximum(A.rows, A.cols))
     ends = np.flatnonzero(np.maximum.accumulate(last) == np.arange(n)) + 1
-    sizes = np.diff(ends, prepend=0)
-    span = int(sizes.max(initial=0))
-    starts = [0]
-    for lo, hi in zip(ends - sizes, ends):
-        if hi - starts[-1] > span:
-            starts.append(int(lo))
-    starts = np.array(starts)
-    lens = np.diff(starts, append=n)
+    lens = np.diff(ends, prepend=0)
+    starts = ends - lens
+    span = int(lens.max(initial=0))
     nl, nb = starts.size, -(-span // B)
     ln = nb * B + kl + ku + 1  # zero rows keep strided views in bounds
     base = ln * np.arange(nl)
@@ -246,7 +240,7 @@ def lu_factor(A: SparseOperator, shift: complex = 0.0) -> Factorization:
     T = np.zeros((nl * ln, w), dtype=vals.dtype)
     T[rows[A.rows], A.cols - A.rows + kl] = vals
     T[rows, kl] -= shift
-    scale = np.abs(T).max()
+    scale = np.abs(T).max(initial=0.0)
     if scale == 0.0:
         raise SingularShift("operator minus shift is identically zero")
     pad = np.arange(span) >= lens[:, None]

@@ -234,33 +234,21 @@ def _solve_point(cfg: SweepConfig, x: float) -> list:
 
 
 def solve_points(cfg: SweepConfig):
-    """Yield (x, modes, error) for each grid point, in grid order.
+    """Yield (x, modes, error, ambiguous) for each grid point, in grid order.
 
-    A solver failure yields no modes and an error naming its cause, and the
-    walk keeps going: shifts near a degeneracy can be close to singular, and
-    that neighborhood is exactly the region under study.
+    The modes come in branch order: each point is matched to the last
+    successful point by `track_modes`, and a margin under 1e-6 keeps the
+    solver's order and flags the point ambiguous. A solver failure yields
+    no modes and an error naming its cause, and the walk keeps going and
+    tracks across the gap: shifts near a degeneracy can be close to
+    singular, and that neighborhood is exactly the region under study.
     """
+    prev = None
     for x in cfg.grid.tolist():
         try:
             modes = _solve_point(cfg, x)
         except (SingularShift, NoConvergence, GridTooCoarse) as exc:
-            yield x, [], f"{type(exc).__name__}: {exc}"
-            continue
-        yield x, modes, None
-
-
-def run_sweep(cfg: SweepConfig) -> list:
-    """One record per grid point, in grid order.
-
-    Failed points keep their row with its error. Tracking is an ordered
-    reduction over the successful points, so a failed point tracks across
-    the gap.
-    """
-    records = []
-    prev = None
-    for x, modes, error in solve_points(cfg):
-        if error is not None:
-            records.append(SweepRecord(x, [], error))
+            yield x, [], f"{type(exc).__name__}: {exc}", False
             continue
         ambiguous = False
         if prev is not None:
@@ -268,11 +256,17 @@ def run_sweep(cfg: SweepConfig) -> list:
             ambiguous = margin < 1e-6  # identity fallback, row flagged
             if not ambiguous:
                 modes = [modes[int(j)] for j in order]
-        rows = [mode_diagnostics(md, cfg.N_bins, cfg.K_max, cfg.alphas,
-                                 cfg.node_cutoff) for md in modes]
-        records.append(SweepRecord(x, rows, None, ambiguous))
         prev = modes
-    return records
+        yield x, modes, None, ambiguous
+
+
+def run_sweep(cfg: SweepConfig) -> list:
+    """One record per point of `solve_points`, in grid order; failed points
+    keep their row with its error."""
+    return [SweepRecord(x, [mode_diagnostics(md, cfg.N_bins, cfg.K_max,
+                                             cfg.alphas, cfg.node_cutoff)
+                            for md in modes], error, ambiguous)
+            for x, modes, error, ambiguous in solve_points(cfg)]
 
 
 @dataclass(frozen=True)
@@ -322,9 +316,11 @@ def field_series(records: list, field: str, mode_index: int = 0):
 def detect_peaks(records: list, field: str, mode_index: int = 0) -> PeakEntry:
     """Raw grid argmax plus quadratic sub-grid refinement over its triple.
 
-    The refined vertex is x0 + step (y- - y+) / (2 (y- - 2 y0 + y+)); when
-    any of those values is non-finite, or the triple is flat, the refined
-    argmax falls back to the raw one.
+    The refined argmax is the vertex of the parabola through the triple,
+    x0 + (d-^2 g+ - d+^2 g-) / (2 (d- g+ - d+ g-)), where d+- and g+- are the
+    neighbours' offsets from (x0, y0), so an uneven grid refines as truly as
+    a uniform one. When any of those values is non-finite, or the triple is
+    collinear, the refined argmax falls back to the raw one.
     """
     if len(records) < 3:
         raise ValueError("need at least 3 records")
@@ -342,13 +338,14 @@ def detect_peaks(records: list, field: str, mode_index: int = 0) -> PeakEntry:
         raise NoInteriorPeak(
             f"field '{field}' peaks at sweep endpoint {params[i]!r}")
     x0 = float(params[i])
-    step = float(params[i + 1] - params[i - 1]) / 2.0
+    dm, dp = float(params[i - 1]) - x0, float(params[i + 1]) - x0
     ym, y0, yp = float(vals[i - 1]), float(vals[i]), float(vals[i + 1])
+    gm, gp = ym - y0, yp - y0
     refined = x0
-    den = ym - 2.0 * y0 + yp
+    den = dm * gp - dp * gm
     if np.isfinite(ym) and np.isfinite(y0) and np.isfinite(yp) \
             and den != 0.0:
-        cand = x0 + 0.5 * step * (ym - yp) / den
+        cand = x0 + 0.5 * (dm * dm * gp - dp * dp * gm) / den
         if np.isfinite(cand):
             refined = cand
     return PeakEntry(field, x0, refined, y0, i)

@@ -22,6 +22,23 @@ svg = run.svg
 marker = 0
 """
 
+PAIR_CONFIG = """
+[model]
+model = cavity
+variant = open
+cap_strength = 1.0
+cap_width = 0.2
+h = 0.02
+k_target = 8.015
+
+[sweep]
+grid = 0.2998, 0.3000
+m = 2
+
+[output]
+csv = pair.csv
+"""
+
 
 @pytest.fixture
 def config_path(tmp_path):
@@ -215,6 +232,28 @@ class TestSolveAndAnalyze:
         assert main(["analyze", target, "--alpha", "1,4"]) == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert "renyi_4" in header and "renyi_1.5" not in header
+
+    def test_files_hold_the_sweeps_branches(self, tmp_path):
+        # criterion 6's pair: at 0.3000 the solver returns the branches in
+        # the other order, so mode_p0001_m0.ep must hold its second mode
+        config = tmp_path / "pair.cfg"
+        config.write_text(PAIR_CONFIG)
+        assert main(["sweep", str(config), "--out-dir", str(tmp_path),
+                     "--no-timestamp"]) == 0
+        modes = tmp_path / "modes"
+        assert main(["solve", str(config), "--out-dir", str(modes)]) == 0
+        files = sorted(str(p) for p in modes.iterdir())
+        assert [p[-11:] for p in files] == [
+            "p0000_m0.ep", "p0000_m1.ep", "p0001_m0.ep", "p0001_m1.ep"]
+        diag = tmp_path / "diag.csv"
+        assert main(["analyze", *files, "--out", str(diag),
+                     "--no-timestamp"]) == 0
+        swept = (tmp_path / "pair.csv").read_text().splitlines()
+        analyzed = diag.read_text().splitlines()
+        assert analyzed[0] == swept[0]
+        # every cell but mode, track_ambiguous and error
+        assert [row.split(",")[2:-2] for row in analyzed[1:]] \
+            == [row.split(",")[2:-2] for row in swept[1:]]
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--n-bins", "1", "N_bins must be >= 2"),

@@ -171,8 +171,8 @@ class TestBandedLU:
         assert lu.solve(b).tobytes() == x.tobytes()
 
     def test_uneven_blocks_factor_as_lanes(self):
-        # blocks of 9, 1, 6, 4 and 9 rows pack next-fit into lanes of at
-        # most 9 rows: [9], [1, 6], [4], [9]; the 6-row block pivots
+        # blocks of 9, 1, 6, 4 and 9 rows each take a lane of their own,
+        # padded to 9 rows; the 6-row block pivots
         rng = np.random.default_rng(5)
         sizes = [9, 1, 6, 4, 9]
         n = sum(sizes)
@@ -188,7 +188,7 @@ class TestBandedLU:
         shift = 0.4 - 0.1j
         A = from_dense(M)
         lu = lu_factor(A, shift)
-        assert self.lane_lengths(lu).tolist() == [9, 7, 4, 9]
+        assert self.lane_lengths(lu).tolist() == [9, 1, 6, 4, 9]
         self.check_solve(lu, M, shift)
         # each block's factored rows equal its own factor's, bit for bit
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -490,3 +490,25 @@ def test_only_models_reads_lattice_indices():
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute) and node.attr in private]
     assert hits == []
+
+
+def _walk_calls(tree):
+    return {(node.lineno, name) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            for name in ("_solve_point", "track_modes")
+            if name in (getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None))}
+
+
+def test_only_solve_points_walks_a_sweep():
+    # sweep.solve_points is the one loop over a grid: it solves and tracks
+    # every point, so the CSV and the EPMODE files share one branch order
+    pkg = Path(__file__).resolve().parent.parent / "src" / "epmodes"
+    calls = {(path.name, *call) for path in sorted(pkg.glob("*.py"))
+             for call in _walk_calls(ast.parse(path.read_text()))}
+    owned = {("sweep.py", *call)
+             for fn in ast.parse((pkg / "sweep.py").read_text()).body
+             if isinstance(fn, ast.FunctionDef) and fn.name == "solve_points"
+             for call in _walk_calls(fn)}
+    assert {name for _, _, name in owned} == {"_solve_point", "track_modes"}
+    assert calls == owned

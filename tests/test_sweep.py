@@ -358,6 +358,16 @@ class TestDetectPeaks:
         assert entry.raw_argmax == 1.0
         assert abs(entry.refined_argmax - 7.0 / 6.0) < 1e-12
 
+    def test_uneven_triple_refines_to_parabola_vertex(self):
+        # y = -(x - 1.2)^2 on x = 0, 1, 3, 4: the parabola through the
+        # triple around the raw argmax is y itself, so its vertex is 1.2
+        xs = [0.0, 1.0, 3.0, 4.0]
+        recs = [SweepRecord(x, [stub_row(S_folded=-(x - 1.2) ** 2)])
+                for x in xs]
+        entry = detect_peaks(recs, "S_folded")
+        assert entry.raw_argmax == 1.0
+        assert entry.refined_argmax == pytest.approx(1.2, abs=1e-12)
+
     def test_monotone_raises(self):
         with pytest.raises(NoInteriorPeak):
             detect_peaks(stub_records([1.0, 2.0, 3.0]), "S_folded")
