@@ -81,18 +81,26 @@ def shannon(p: HistogramPMF) -> float:
 def fourier_coeffs(a: AlignedAngles, s: WeightedPhaseSet, K_max: int
                    ) -> np.ndarray:
     """F_k = sum w e^{-ik theta} / sum w for k = 0..K_max over s's weights
-    at a's angles; F_0 is 1 exactly."""
+    at a's angles; F_0 is 1 exactly.
+
+    The terms follow the power recurrence w e^{-ik theta} =
+    (w e^{-i(k-1) theta}) e^{-i theta}, with e^{-i theta} taken once. Each
+    multiply adds about 1 ulp, so F_k differs from the direct sum by
+    |dF_k| <~ k * 2.2e-16.
+    """
     if K_max < 1:
         raise ValueError("K_max must be >= 1")
     F = np.zeros(K_max + 1, dtype=np.complex128)
     F[0] = 1.0
+    step = np.exp(-1j * a.theta_shift)
+    term = s.weights.astype(np.complex128)  # w e^{-ik theta} at k = 0
     for k in range(1, K_max + 1):
-        F[k] = fold_sum(s.weights * np.exp(-1j * k * a.theta_shift)) \
-            / s.total_weight
-    mags = np.abs(F[1:])
-    over = mags > 1.0  # roundoff can overshoot the unit bound by ~1 ulp
-    if over.any():
-        F[1:][over] /= mags[over]
+        term *= step
+        F[k] = fold_sum(term) / s.total_weight
+    over = np.abs(F) > 1.0  # roundoff can overshoot the unit bound by ~1 ulp,
+    while over.any():  # and dividing by |F_k| can leave it 1 ulp over again
+        F[over] /= np.abs(F[over])
+        over = np.abs(F) > 1.0
     return F
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import re
 from dataclasses import fields
 from io import StringIO
 
@@ -394,32 +395,35 @@ def write_mode_file(mode: Mode, path, parameter: float | None = None) -> None:
     else:
         xs = ys = np.zeros(mode.psi.size)
     lines.append("")
-    for i in range(mode.psi.size):
-        lines.append(f"{i} {_fmt(float(xs[i]))} {_fmt(float(ys[i]))} "
-                     f"{_fmt(float(mode.psi[i].real))} "
-                     f"{_fmt(float(mode.psi[i].imag))}")
+    rows = zip(range(mode.psi.size), map(float, xs), map(float, ys),
+               map(float, mode.psi.real), map(float, mode.psi.imag))
+    lines.extend(f"{i} {x!r} {y!r} {real!r} {imag!r}"
+                 for i, x, y, real, imag in rows)
     write_text(path, "\n".join(lines) + "\n")
 
 
 def read_mode_file(path):
-    """(Mode, header dict) from an EPMODE 1 file written by write_mode_file."""
-    lines = read_text(path).splitlines()
+    """(Mode, header dict) from an EPMODE 1 file written by write_mode_file.
+
+    Only the header is split into lines. numpy parses the rows in one
+    pass: n lines, ended by \\n, \\r\\n or \\r (the last one optionally),
+    holding 5n numbers with index column 0..n-1. Otherwise a scan names the
+    first row that is not its index and four more numbers.
+    """
+    lines, body = _split_at_blank_line(read_text(path))
     if not lines or lines[0] != "EPMODE 1":
         raise ParseError(1, "not an EPMODE 1 file")
     header = {}
     line_of = {}
-    body_start = None
     for ln, line in enumerate(lines[1:], start=2):
-        if line == "":
-            body_start = ln  # blank separator; rows begin on the next line
-            break
         if ": " not in line:
             raise ParseError(ln, f"expected 'key: value', got {line!r}")
         key, _, value = line.partition(": ")
         header[key] = value
         line_of[key] = ln
-    if body_start is None:
+    if body is None:
         raise ParseError(len(lines), "missing blank line before data rows")
+    body_start = len(lines) + 1  # the blank line; rows begin on the next
 
     def value(key, conv=float):
         if key not in header:
@@ -435,24 +439,20 @@ def read_mode_file(path):
         raise ParseError(line_of["provenance"],
                          f"unknown provenance {provenance!r}")
     n = value("n", int)
-    rows = lines[body_start:]
-    if len(rows) != n:
+    rows = body.count("\n") + (body[-1:] not in "\r\n")  # "" is in any str
+    if "\r" in body:  # \r\n is one line end, a lone \r is another
+        rows += body.count("\r") - body.count("\r\n")
+    if rows != n:
         raise ParseError(body_start + 1,
-                         f"expected {n} data rows, found {len(rows)}")
-    psi = np.zeros(n, dtype=np.complex128)
-    xs = np.zeros(n)
-    ys = np.zeros(n)
-    try:
-        for off, line in enumerate(rows):
-            parts = line.split()
-            if len(parts) != 5 or int(parts[0]) != off:
-                raise ValueError
-            xs[off] = float(parts[1])
-            ys[off] = float(parts[2])
-            psi[off] = complex(float(parts[3]), float(parts[4]))
-    except ValueError:
-        raise ParseError(body_start + 1 + off,
-                         f"bad data row {rows[off]!r}") from None
+                         f"expected {n} data rows, found {rows}")
+    table = _numbers(body)
+    if table is None or table.size != 5 * n \
+            or not np.array_equal(table[::5], np.arange(n)):
+        raise _first_bad_row(body, body_start + 1)
+    del body  # not needed while the geometry is built
+    xs, ys, re_psi, im_psi = table.reshape(n, 5)[:, 1:].T
+    psi = np.empty(n, dtype=np.complex128)
+    psi.real, psi.imag = re_psi, im_psi  # keeps -0.0, unlike re + 1j * im
     geometry = None
     if provenance != "two_level":
         try:
@@ -476,6 +476,39 @@ def read_mode_file(path):
         raise ParseError(body_start + 1, str(exc)) from None
     header["parameter"] = value("parameter")
     return mode, header
+
+
+# two line ends in a row: the blank line after the header
+_BLANK_LINE = re.compile(r"(?:\r\n|\r(?!\n)|\n){2}")
+
+
+def _split_at_blank_line(text: str):
+    """(lines before the first blank line, text after it), or (all lines,
+    None) if there is no blank line."""
+    blank = _BLANK_LINE.search(text)
+    if blank is None:
+        return text.splitlines(), None
+    return text[:blank.start()].splitlines(), text[blank.end():]
+
+
+def _numbers(text: str):
+    """The numbers in `text` as numpy parses them, or None if it meets a
+    token it cannot parse (`1_0` and hex among them)."""
+    try:
+        return np.fromstring(text, sep=" ")
+    except ValueError:
+        return None
+
+
+def _first_bad_row(body: str, first_ln: int) -> ParseError:
+    """Error naming the first row of `body` that is not its 0-based index
+    and four more numbers; numpy reads whitespace alone as [-1]."""
+    for off, line in enumerate(StringIO(body, newline="")):
+        row = _numbers(line)
+        if row is None or row.size != 5 or row[0] != off:
+            line = line.rstrip("\r\n")
+            return ParseError(first_ln + off, f"bad data row {line!r}")
+    return ParseError(first_ln, "bad data rows")
 
 
 def _complex_pair(text: str) -> complex:

@@ -199,6 +199,24 @@ class TestFourier:
         with pytest.raises(ValueError):
             fourier_coeffs(angles([0.1]), weighted([1.0]), 0)
 
+    @pytest.mark.parametrize("n, K_max", [(1, 400), (7, 400), (300, 50),
+                                          (3000, 400), (30000, 50)])
+    def test_recurrence_matches_direct_sum(self, n, K_max):
+        # the power recurrence drifts by about 1 ulp per multiply, so the
+        # gap to the direct sum may grow linearly in k and no faster
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(1000 + n)
+        theta = rng.random(n) * TWO_PI
+        w = rng.random(n) + 1e-3
+        s = weighted(w)
+        F = fourier_coeffs(angles(theta), s, K_max)
+        k = np.arange(1, K_max + 1)
+        direct = np.array([np.add.accumulate(
+            w * np.exp(-1j * kk * theta))[-1] for kk in k]) / s.total_weight
+        assert F[0] == 1.0
+        assert np.all(np.abs(F) <= 1.0)
+        assert np.all(np.abs(F[1:] - direct) <= 4.0 * k * eps)
+
 
 class TestValueSpace:
     def test_delta_gives_log_kmax_plus_one(self):

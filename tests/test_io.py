@@ -11,7 +11,7 @@ from epmodes.io import (_FIELD_OF_KEY, _SECTIONS, ParseError,
                         ValidationError, csv_columns, parse_config,
                         parse_output_options, read_mode_file, read_sweep_csv,
                         write_mode_file, write_sweep_csv)
-from epmodes.models import CavitySpec, assemble_helmholtz, \
+from epmodes.models import CavitySpec, Mode, assemble_helmholtz, \
     build_ellipse_grid, solve_cavity_modes, two_level_modes, TwoLevelParams
 from epmodes.sweep import (ModeDiagnostics, SweepConfig, SweepRecord,
                            mode_diagnostics, run_sweep)
@@ -516,7 +516,9 @@ class TestModeFile:
         assert err.value.line_number == at + 1
 
     @pytest.mark.parametrize("row", ["1 0.0 0.0 junk 0.0",
-                                     "x 0.0 0.0 1.0 0.0"])
+                                     "x 0.0 0.0 1.0 0.0",
+                                     "1 0.0 0.0 0x1p-3 0.0",
+                                     "1 0.0 0.0 1_0 0.0"])
     def test_non_numeric_row_names_line(self, tmp_path, row):
         mode = two_level_modes(TwoLevelParams(0.3, 1.0, 2.0))[0]
         path = tmp_path / "m.ep"
@@ -529,6 +531,46 @@ class TestModeFile:
             read_mode_file(path)
         assert err.value.line_number == blank + 3
 
+    @pytest.mark.parametrize("edit", ["short_then_long", "swapped"])
+    def test_first_bad_row_is_named(self, cavity_mode, tmp_path, edit):
+        # row 3 is the first bad one; the row count is right in both cases,
+        # and so is the token total for a 4-token row before a 6-token row
+        path = tmp_path / "c.ep"
+        write_mode_file(cavity_mode, path)
+        lines = path.read_text().splitlines()
+        r3 = lines.index("") + 4
+        if edit == "short_then_long":
+            tokens = lines[r3].split()
+            lines[r3] = " ".join(tokens[:4])
+            lines[r3 + 1] += " " + tokens[4]
+        else:
+            lines[r3], lines[r3 + 1] = lines[r3 + 1], lines[r3]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="bad data row") as err:
+            read_mode_file(path)
+        assert err.value.line_number == r3 + 1
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("\n", "\r"),
+        lambda text: text[:-1]], ids=["crlf", "cr", "no_final_newline"])
+    def test_line_end_variants_read_bitwise(self, cavity_mode, tmp_path,
+                                            rewrite):
+        path = tmp_path / "c.ep"
+        write_mode_file(cavity_mode, path)
+        path.write_bytes(rewrite(path.read_text()).encode())
+        back, header = read_mode_file(path)
+        assert header["parameter"] == 0.1
+        assert np.array_equal(back.psi.view(np.float64),
+                              cavity_mode.psi.view(np.float64))
+
+    def test_signed_zeros_read_back(self, tmp_path):
+        psi = np.array([complex(-0.0, 1.0), complex(0.0, -0.0)])
+        path = tmp_path / "m.ep"
+        write_mode_file(Mode(None, psi, 1.0, "two_level"), path)
+        back, _ = read_mode_file(path)
+        assert np.array_equal(np.signbit(back.psi.view(np.float64)),
+                              [True, False, False, True])
 
     @pytest.mark.parametrize("key, bad", [("epsilon", "0.7"),
                                           ("mean_radius", "0"),
