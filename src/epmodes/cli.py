@@ -28,6 +28,7 @@ from .io import (SVG_FIELDS, ParseError, ValidationError, float_list,
                  parse_config, parse_output_options, read_mode_file,
                  read_sweep_csv, read_text, split_list, write_mode_file,
                  write_sweep_csv)
+from .linalg import norm
 from .models import Mode
 from .nonorth import phase_rigidity_cs, petermann
 from .sweep import (SweepRecord, check_analysis, check_fields,
@@ -38,7 +39,11 @@ from .svgplot import emit_svg
 def _load_config(args):
     text = read_text(args.config)
     overrides = args.override or ()
-    return parse_config(text, overrides), parse_output_options(text, overrides)
+    cfg = parse_config(text, overrides)
+    opts = parse_output_options(text, overrides)
+    if args.out_dir is not None:
+        opts["directory"] = args.out_dir
+    return cfg, opts
 
 
 def _report_failures(records) -> int:
@@ -54,8 +59,6 @@ def _report_failures(records) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg, opts = _load_config(args)
-    if args.out_dir is not None:
-        opts["directory"] = args.out_dir
     if args.no_timestamp:
         opts["timestamp"] = False
     if opts["svg"]:
@@ -79,20 +82,19 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_solve(args) -> int:
     cfg, opts = _load_config(args)
-    out_dir = args.out_dir if args.out_dir is not None else opts["directory"]
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(opts["directory"], exist_ok=True)
     records = []
     written = 0
     for idx, (x, modes, error, _) in enumerate(solve_points(cfg)):
         records.append(SweepRecord(x, [], error))
         for j, md in enumerate(modes):
-            name = f"mode_p{idx:04d}_m{j}.ep"
-            write_mode_file(md, os.path.join(out_dir, name), parameter=x)
+            path = os.path.join(opts["directory"], f"mode_p{idx:04d}_m{j}.ep")
+            write_mode_file(md, path, parameter=x)
             written += 1
     status = _report_failures(records)
     if status:
         return status
-    print(f"wrote {written} mode files to {out_dir}")
+    print(f"wrote {written} mode files to {opts['directory']}")
     return 0
 
 
@@ -138,7 +140,7 @@ def _selftest_checks(rng):
     for _ in range(200):
         n = int(rng.integers(4, 64))
         psi = rng.normal(size=n) + 1j * rng.normal(size=n)
-        psi /= np.sqrt(np.sum(np.abs(psi) ** 2))
+        psi /= norm(psi)
         mode = Mode(None, psi, 1.0 + 0.0j, "two_level")
         r = abs(phase_rigidity_cs(mode))
         r2 = resultant(extract_phases(mode), 2).R_k

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import datetime
-import re
 from dataclasses import fields
 from io import StringIO
 
@@ -24,9 +23,10 @@ from .sweep import ModeDiagnostics, SweepConfig, SweepRecord, anchored_grid
 
 
 def read_text(path) -> str:
-    """A file's UTF-8 text with its line ends as stored."""
+    """A file's UTF-8 text with each CRLF and lone CR read as \\n: line
+    ends are translated here alone, so every reader splits at \\n."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
@@ -85,7 +85,7 @@ def _parse_sections(text: str, overrides=()) -> dict:
     """
     sections = {name: {} for name in _SECTIONS}
     current = None
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -171,8 +171,8 @@ _CONVERT = {"m": _int, "n_bins": _int, "k_max": _int, "alpha": float_list,
 
 
 def parse_config(text: str, overrides=()) -> SweepConfig:
-    """Validated SweepConfig from config text and `section.key=value`
-    overrides.
+    """Validated SweepConfig from config text, split into lines at \\n
+    alone, and `section.key=value` overrides.
 
     A key left out keeps SweepConfig's default, and a model given no range
     sweeps its canonical window. SweepConfig checks every range; a value it
@@ -327,9 +327,7 @@ def read_sweep_csv(path) -> list:
     Mode index 0 (or -1, a failed point) starts a record; index i > 0
     continues the record above it, which must then hold modes 0..i-1.
     """
-    # split at \n, \r and \r\n only, as csv expects; str.splitlines would
-    # also split inside a cell at \f, \x1c, \u2028 and the like
-    lines = StringIO(read_text(path), newline="").readlines()
+    lines = StringIO(read_text(path)).readlines()
     # comments read as empty rows, so reader.line_num is the file's line
     reader = csv.reader("\n" if ln.startswith("#") else ln for ln in lines)
     rows = [(reader.line_num, cells) for cells in reader
@@ -405,13 +403,16 @@ def write_mode_file(mode: Mode, path, parameter: float | None = None) -> None:
 def read_mode_file(path):
     """(Mode, header dict) from an EPMODE 1 file written by write_mode_file.
 
-    Only the header is split into lines. numpy parses the rows in one
-    pass: n lines, ended by \\n, \\r\\n or \\r (the last one optionally),
-    holding 5n numbers with index column 0..n-1. Otherwise a scan names the
-    first row that is not its index and four more numbers.
+    Only the header is split into lines, at \\n alone. numpy parses the
+    rows in one pass: n lines (the last \\n optional) holding 5n numbers
+    with index column 0..n-1. Otherwise a scan names the first row that is
+    not its index and four more numbers.
     """
-    lines, body = _split_at_blank_line(read_text(path))
-    if not lines or lines[0] != "EPMODE 1":
+    head, blank, body = read_text(path).partition("\n\n")
+    if not blank:  # a final \n ends the last line, it opens no new one
+        head = head.removesuffix("\n")
+    lines = head.split("\n")
+    if lines[0] != "EPMODE 1":
         raise ParseError(1, "not an EPMODE 1 file")
     header = {}
     line_of = {}
@@ -421,7 +422,7 @@ def read_mode_file(path):
         key, _, value = line.partition(": ")
         header[key] = value
         line_of[key] = ln
-    if body is None:
+    if not blank:
         raise ParseError(len(lines), "missing blank line before data rows")
     body_start = len(lines) + 1  # the blank line; rows begin on the next
 
@@ -439,9 +440,7 @@ def read_mode_file(path):
         raise ParseError(line_of["provenance"],
                          f"unknown provenance {provenance!r}")
     n = value("n", int)
-    rows = body.count("\n") + (body[-1:] not in "\r\n")  # "" is in any str
-    if "\r" in body:  # \r\n is one line end, a lone \r is another
-        rows += body.count("\r") - body.count("\r\n")
+    rows = body.count("\n") + (body[-1:] not in "\n")  # "" is in any str
     if rows != n:
         raise ParseError(body_start + 1,
                          f"expected {n} data rows, found {rows}")
@@ -478,19 +477,6 @@ def read_mode_file(path):
     return mode, header
 
 
-# two line ends in a row: the blank line after the header
-_BLANK_LINE = re.compile(r"(?:\r\n|\r(?!\n)|\n){2}")
-
-
-def _split_at_blank_line(text: str):
-    """(lines before the first blank line, text after it), or (all lines,
-    None) if there is no blank line."""
-    blank = _BLANK_LINE.search(text)
-    if blank is None:
-        return text.splitlines(), None
-    return text[:blank.start()].splitlines(), text[blank.end():]
-
-
 def _numbers(text: str):
     """The numbers in `text` as numpy parses them, or None if it meets a
     token it cannot parse (`1_0` and hex among them)."""
@@ -503,10 +489,10 @@ def _numbers(text: str):
 def _first_bad_row(body: str, first_ln: int) -> ParseError:
     """Error naming the first row of `body` that is not its 0-based index
     and four more numbers; numpy reads whitespace alone as [-1]."""
-    for off, line in enumerate(StringIO(body, newline="")):
+    for off, line in enumerate(StringIO(body)):
         row = _numbers(line)
         if row is None or row.size != 5 or row[0] != off:
-            line = line.rstrip("\r\n")
+            line = line.rstrip("\n")
             return ParseError(first_ln + off, f"bad data row {line!r}")
     return ParseError(first_ln, "bad data rows")
 

@@ -46,8 +46,9 @@ class NoConvergence(Exception):
         )
 
 
-def _norm(v: np.ndarray) -> float:
-    """2-norm as a plain sum of squared moduli (no BLAS, same bits on rerun)."""
+def norm(v: np.ndarray) -> float:
+    """The one 2-norm: a plain sum of squared moduli (no BLAS, same bits on
+    rerun). Diagnostics' sums of |psi|^2 stay strict folds by contract."""
     return np.sqrt((np.abs(v) ** 2).sum())
 
 
@@ -84,10 +85,10 @@ class SparseOperator:
             raise ValueError("duplicate (row, col) entry")
         self.symmetric = bool(symmetric)
         if self.symmetric:
-            tkey = np.sort(self.cols * n + self.rows)
-            if not np.array_equal(key, tkey):
+            tkey = self.cols * n + self.rows
+            torder = np.argsort(tkey)  # keys are unique: one order, no ties
+            if not np.array_equal(key, tkey[torder]):
                 raise ValueError("symmetric flag set but pattern is not")
-            torder = np.lexsort((self.rows, self.cols))
             if not np.array_equal(self.vals[torder], self.vals):
                 raise ValueError("symmetric flag set but values are not")
 
@@ -388,8 +389,7 @@ def hessenberg_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             if abs(den) < smin:
                 den = smin
             y[i] = -s / den
-        nrm = _norm(y)
-        Y[:, k] = y / nrm
+        Y[:, k] = y / norm(y)
     V = np.zeros((K, K), dtype=np.complex128)
     for k in range(K):
         V[:, k] = (Z * Y[:, k][None, :]).sum(axis=1)
@@ -410,8 +410,7 @@ def _unit_gauge(v: np.ndarray) -> np.ndarray:
     piv = v[i]
     if piv != 0:
         v = v * (np.conj(piv) / abs(piv))
-    nrm = _norm(v)
-    return v / nrm
+    return v / norm(v)
 
 
 def shift_invert_eigs(A: SparseOperator, shift: complex, m: int,
@@ -432,7 +431,7 @@ def shift_invert_eigs(A: SparseOperator, shift: complex, m: int,
     lu = lu_factor(A, shift)
     rng = np.random.default_rng(_SEED)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v0 /= _norm(v0)
+    v0 /= norm(v0)
 
     cap = min(n, max(4 * m + 24, 200))
     K = min(n, max(2 * m + 4, 8))
@@ -449,20 +448,20 @@ def shift_invert_eigs(A: SparseOperator, shift: complex, m: int,
                 raise NoConvergence(max_iter, float(best_res))
             w = lu.solve(V[built])
             solves += 1
-            wnorm = _norm(w)
+            wnorm = norm(w)
             # classical Gram-Schmidt, twice: cheap and reliably orthogonal
             for _ in range(2):
                 h = (np.conj(V[:built + 1]) * w[None, :]).sum(axis=1)
                 w = w - (V[:built + 1] * h[:, None]).sum(axis=0)
                 Hm[:built + 1, built] += h
-            beta = _norm(w)
+            beta = norm(w)
             if beta <= 1e-12 * max(wnorm, 1e-300):
                 # w already in the span: try a fresh orthogonal direction
                 fresh = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 for _ in range(2):
                     h = (np.conj(V[:built + 1]) * fresh[None, :]).sum(axis=1)
                     fresh = fresh - (V[:built + 1] * h[:, None]).sum(axis=0)
-                bn = _norm(fresh)
+                bn = norm(fresh)
                 if bn <= 1e-10 * np.sqrt(2.0 * n):
                     # whole space spanned: the square Hessenberg including
                     # the column just written is an exact invariant relation
@@ -486,7 +485,7 @@ def shift_invert_eigs(A: SparseOperator, shift: complex, m: int,
             v = (V[:k] * Y[:, idx][:, None]).sum(axis=0)
             v = _unit_gauge(v)
             r = A.apply(v) - lam[idx] * v
-            res = float(_norm(r))
+            res = float(norm(r))
             best_res = min(best_res, res)
             pairs.append(EigenPair(complex(lam[idx]), v, res))
             worst = max(worst, res)
@@ -517,16 +516,16 @@ def eig2x2(H) -> list[EigenPair]:
 
     def vec(lam: complex) -> np.ndarray:
         v = np.array([M[0, 1], lam - M[0, 0]], dtype=np.complex128)
-        if _norm(v) <= 1e-14 * scale:
+        if norm(v) <= 1e-14 * scale:
             v = np.array([lam - M[1, 1], M[1, 0]], dtype=np.complex128)
-        if _norm(v) <= 1e-14 * scale:
+        if norm(v) <= 1e-14 * scale:
             v = np.array([1.0, 0.0], dtype=np.complex128)
         return _unit_gauge(v)
 
     def residual(lam: complex, v: np.ndarray) -> float:
         r = np.array([M[0, 0] * v[0] + M[0, 1] * v[1] - lam * v[0],
                       M[1, 0] * v[0] + M[1, 1] * v[1] - lam * v[1]])
-        return float(_norm(r))
+        return float(norm(r))
 
     if degenerate:
         v = vec(lam_p)

@@ -14,7 +14,7 @@ import numpy as np
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .linalg import SparseOperator, shift_invert_eigs, eig2x2
+from .linalg import SparseOperator, eig2x2, norm, shift_invert_eigs
 
 
 PROVENANCES = ("two_level", "cavity_closed", "cavity_open")
@@ -153,9 +153,9 @@ class GridGeometry:
         col = np.cumsum(member & (X >= 0) & (Y >= 0)).reshape(4, -1) - 1
         rep = self.index_of[np.abs(X) - self.ix_min, np.abs(Y) - self.iy_min]
         chi = (-1.0) ** (odd_x * (X < 0) + odd_y * (Y < 0))
-        norm = 1.0 / np.sqrt((1.0 + (X != 0)) * (1.0 + (Y != 0)))
+        scale = 1.0 / np.sqrt((1.0 + (X != 0)) * (1.0 + (Y != 0)))
         return (np.where(member, col[:, rep], 0),
-                np.where(member, chi * norm, 0.0))
+                np.where(member, chi * scale, 0.0))
 
     def embed(self, values: np.ndarray) -> np.ndarray:
         """Scatter per-point values onto the full grid, zero outside."""
@@ -179,8 +179,7 @@ class Mode:
     def __post_init__(self):
         if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        h = self.geometry.h if self.geometry is not None else 1.0
-        total = float((np.abs(self.psi) ** 2).sum()) * h * h
+        total = float(norm(self.psi) * self.h) ** 2
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"mode not intensity-normalized: {total!r}")
 
@@ -198,8 +197,7 @@ def _align_gauge(v: np.ndarray) -> np.ndarray:
     # rotate so sum psi^2 is real positive; at self-orthogonality the sum
     # vanishes and the incoming gauge is kept
     s = 0 + np.add.accumulate(v * v)[-1].item()  # circstats.fold_sum's fold
-    tot = float((np.abs(v) ** 2).sum())
-    if abs(s) < 1e-12 * tot:
+    if abs(s) < 1e-12 * float(norm(v)) ** 2:
         return v
     return v * np.exp(-0.5j * np.angle(s))
 
@@ -324,7 +322,7 @@ def solve_cavity_modes(op: CavityOperator, k_target: float, m: int
         k = complex(np.sqrt(np.complex128(q.eigenvalue)))
         v = (weight * q.eigenvector[block]).sum(axis=0)
         r = op.apply(v) - q.eigenvalue * v  # residual on A itself
-        res = float(np.sqrt((np.abs(r) ** 2).sum()))
+        res = float(norm(r))
         psi = _align_gauge(v) / geom.h  # unit 2-norm -> unit intensity
         out.append(Mode(geom, psi, k, provenance, res, q.degenerate))
     return out

@@ -16,7 +16,7 @@ import numpy as np
 
 from .circstats import NODE_CUTOFF, extract_phases
 from .entropy import ALPHAS, K_MAX, N_BINS, entropy_report
-from .linalg import NoConvergence, SingularShift
+from .linalg import NoConvergence, SingularShift, norm
 from .models import (
     CavitySpec,
     GridTooCoarse,
@@ -207,8 +207,8 @@ def track_modes(prev: list, nxt: list) -> tuple:
                                    assume_unique=True, return_indices=True)
         a, b = a[:, ia], b[:, ib]
     dots = np.abs(np.sum(np.conj(a)[:, None, :] * b[None, :, :], axis=2))
-    norms = np.sqrt(np.sum(np.abs(a) ** 2, axis=1))[:, None] \
-        * np.sqrt(np.sum(np.abs(b) ** 2, axis=1))[None, :]
+    norms = np.array([norm(v) for v in a])[:, None] \
+        * np.array([norm(v) for v in b])[None, :]
     overlaps = np.divide(dots, norms, out=np.zeros_like(dots),
                          where=norms > 0.0)
     n = len(prev)

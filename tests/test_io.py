@@ -6,11 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epmodes.io import (_FIELD_OF_KEY, _SECTIONS, ParseError,
                         ValidationError, csv_columns, parse_config,
                         parse_output_options, read_mode_file, read_sweep_csv,
-                        write_mode_file, write_sweep_csv)
+                        read_text, write_mode_file, write_sweep_csv)
 from epmodes.models import CavitySpec, Mode, assemble_helmholtz, \
     build_ellipse_grid, solve_cavity_modes, two_level_modes, TwoLevelParams
 from epmodes.sweep import (ModeDiagnostics, SweepConfig, SweepRecord,
@@ -615,6 +616,94 @@ class TestModeFile:
         with pytest.raises(ParseError, match="normalized") as err:
             read_mode_file(path)
         assert err.value.line_number == blank + 2
+
+
+def _config_and_options(path):
+    text = read_text(path)
+    cfg, opts = parse_config(text), parse_output_options(text)
+    return repr({k: v.tolist() if isinstance(v, np.ndarray) else v
+                 for k, v in vars(cfg).items()}), opts
+
+
+def _mode_and_header(path):
+    mode, header = read_mode_file(path)
+    return (mode.psi.tobytes(), mode.eigen_k, mode.provenance,
+            mode.residual_norm, mode.degenerate, header)
+
+
+@pytest.fixture(scope="module")
+def line_end_cases(small_records, tmp_path_factory):
+    """(reader, file, text written with \\n ends) for a config, a sweep
+    CSV and an EPMODE file; each reader returns a comparable value."""
+    tmp = tmp_path_factory.mktemp("line_ends")
+    write_sweep_csv(small_records, tmp / "sweep.csv")
+    mode = two_level_modes(TwoLevelParams(0.3, 1.0, 2.0))[0]
+    write_mode_file(mode, tmp / "m.ep", parameter=0.3)
+    config = ("# two-level\n" + BASE
+              + "\n[output]\ncsv = a.csv\ntimestamp = no\n")
+    return [(_config_and_options, tmp / "config.ini", config),
+            (lambda path: repr(read_sweep_csv(path)), tmp / "sweep.csv",
+             (tmp / "sweep.csv").read_text()),
+            (_mode_and_header, tmp / "m.ep", (tmp / "m.ep").read_text())]
+
+
+def _outcome(read, path, text):
+    """What `read` makes of `text`: its value, or its error and message."""
+    path.write_bytes(text.encode())
+    try:
+        return read(path)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+class TestLineEnds:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mixed_line_ends_read_as_newline(self, line_end_cases, data):
+        # any mix of \n, \r\n and \r reads as the \n text, also cut short
+        # (where it gives the \n text's error, message and line), and also
+        # without its final line end
+        read, path, text = data.draw(st.sampled_from(line_end_cases))
+        cut = data.draw(st.none() | st.integers(0, len(text)))
+        if cut is not None:
+            text = text[:cut]
+        lines = text.split("\n")
+        ends = []
+        for line in lines[:-1]:
+            # \r then \n would be one line end, so an empty line after a
+            # lone \r ends in \r too
+            cr_before = ends[-1:] == ["\r"] and line == ""
+            ends.append(data.draw(st.sampled_from(
+                ["\r"] if cr_before else ["\n", "\r\n", "\r"])))
+        mixed = "".join(map(str.__add__, lines, ends)) + lines[-1]
+        if cut is None and data.draw(st.booleans()):
+            mixed = mixed[:len(mixed) - len(ends[-1])]
+        assert _outcome(read, path, mixed) == _outcome(read, path, text)
+
+    @pytest.mark.parametrize("char", ["\f", "\v", "\x1c", "\x85",
+                                      "\u2028"])
+    def test_only_newline_ends_a_config_line(self, char):
+        # the comment keeps the text after the character, so [bogus] is no
+        # section and [nope] is still on line 4
+        text = f"# note{char}[bogus]\n[model]\nmodel = two_level\n[nope]\n"
+        with pytest.raises(ParseError, match=r"\[nope\]") as err:
+            parse_config(text)
+        assert err.value.line_number == 4
+
+    @pytest.mark.parametrize("char", ["\f", "\v", "\x1c", "\x85",
+                                      "\u2028"])
+    def test_only_newline_ends_a_header_line(self, tmp_path, char):
+        # the provenance line runs on into the next header line, so its
+        # value names no provenance
+        mode = two_level_modes(TwoLevelParams(0.3, 1.0, 2.0))[0]
+        path = tmp_path / "m.ep"
+        write_mode_file(mode, path, parameter=0.3)
+        text = path.read_text().replace("provenance: two_level\n",
+                                        f"provenance: two_level{char}", 1)
+        path.write_bytes(text.encode())
+        with pytest.raises(ParseError, match="provenance") as err:
+            read_mode_file(path)
+        assert err.value.line_number == 2
 
 
 class TestEmitSvg:

@@ -454,6 +454,17 @@ def test_only_io_opens_files():
     assert len(owned) == 2 and calls == owned
 
 
+def test_no_string_constant_holds_a_carriage_return():
+    # io.read_text reads each line end as \n, so no reader splits at \r
+    pkg = Path(__file__).resolve().parent.parent / "src" / "epmodes"
+    hits = [f"{path.name}:{node.lineno}"
+            for path in sorted(pkg.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str) and "\r" in node.value]
+    assert hits == []
+
+
 def test_package_binds_only_submodules():
     # names are imported from their modules; `import epmodes` just loads them
     init = Path(__file__).resolve().parent.parent / "src" / "epmodes" \
