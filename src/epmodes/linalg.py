@@ -449,9 +449,10 @@ def shift_invert_eigs(A: SparseOperator, shift: complex, m: int,
             w = lu.solve(V[built])
             solves += 1
             wnorm = norm(w)
-            # classical Gram-Schmidt, twice: cheap and reliably orthogonal
+            # classical Gram-Schmidt, twice: cheap and reliably orthogonal;
+            # conj(sum V conj(w)) conjugates w once instead of a copy of V
             for _ in range(2):
-                h = (np.conj(V[:built + 1]) * w[None, :]).sum(axis=1)
+                h = np.conj((V[:built + 1] * np.conj(w)[None, :]).sum(axis=1))
                 w = w - (V[:built + 1] * h[:, None]).sum(axis=0)
                 Hm[:built + 1, built] += h
             beta = norm(w)
@@ -459,7 +460,8 @@ def shift_invert_eigs(A: SparseOperator, shift: complex, m: int,
                 # w already in the span: try a fresh orthogonal direction
                 fresh = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 for _ in range(2):
-                    h = (np.conj(V[:built + 1]) * fresh[None, :]).sum(axis=1)
+                    h = np.conj((V[:built + 1]
+                                 * np.conj(fresh)[None, :]).sum(axis=1))
                     fresh = fresh - (V[:built + 1] * h[:, None]).sum(axis=0)
                 bn = norm(fresh)
                 if bn <= 1e-10 * np.sqrt(2.0 * n):
