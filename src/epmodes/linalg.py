@@ -9,7 +9,7 @@ a right-eigenpair solver is all that is needed. The chain is:
     of the triangular factors' diagonal blocks built once per factor
       -> shift-invert Arnoldi with full reorthogonalization; each solve
          replays the triangles a block of rows at a time in every lane
-      -> complex Hessenberg QR (Schur form + back-substituted eigenvectors)
+      -> eigenvalue-only Hessenberg QR, inverse iteration for m vectors only
 
 numpy is used as array storage and elementwise arithmetic only: every
 product is a broadcast multiply and an explicit sum, with no matrix-product
@@ -20,6 +20,8 @@ bit-reproducible, which the sweep output format relies on.
 
 from __future__ import annotations
 
+import cmath
+import math
 import numpy as np
 from dataclasses import dataclass, field
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -35,15 +37,16 @@ class SingularShift(Exception):
 
 
 class NoConvergence(Exception):
-    """Arnoldi ran out of its matvec budget before m residuals met tol."""
+    """A solve hit a limit first (Arnoldi's LU solve budget or Krylov cap, or
+    the QR's iteration budget), named in the message; `max_iter` is the count
+    it stopped at, `best_residual` the smallest residual that missed tol."""
 
-    def __init__(self, max_iter: int, best_residual: float):
+    def __init__(self, max_iter: int, best_residual: float, reason: str = ""):
         self.max_iter = max_iter
         self.best_residual = best_residual
-        super().__init__(
-            f"no convergence within {max_iter} solves "
-            f"(best residual {best_residual:.3e})"
-        )
+        super().__init__(reason or (
+            f"no convergence within the budget of {max_iter} LU solves "
+            f"(best residual {best_residual:.3e})"))
 
 
 def norm(v: np.ndarray) -> float:
@@ -297,103 +300,116 @@ def lu_factor(A: SparseOperator, shift: complex = 0.0) -> Factorization:
 
 
 # ---------------------------------------------------------------------------
-# projected eigenproblem: complex Hessenberg QR with accumulated Schur vectors
+# projected eigenproblem: eigenvalue-only Hessenberg QR, inverse iteration
 
 
 def _givens(a: complex, b: complex) -> tuple[float, complex]:
     """c (real), s with [[c, s], [-conj(s), c]] @ (a, b) = (r, 0)."""
     if b == 0:
-        return 1.0, 0.0 + 0.0j
-    aa, ab = abs(a), abs(b)
-    r = np.hypot(aa, ab)
+        return 1.0, 0j
+    aa = abs(a)
+    r = math.hypot(aa, abs(b))
     alpha = a / aa if aa != 0.0 else 1.0 + 0.0j
-    return aa / r, alpha * np.conj(b) / r
+    return aa / r, alpha * b.conjugate() / r
 
 
-def hessenberg_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a complex upper-Hessenberg matrix.
+def hessenberg_eig(H: np.ndarray, count: int | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a complex upper-Hessenberg matrix by decreasing modulus
+    (ties in diagonal order), and a (K, count) array whose column j is a
+    unit eigenvector of eigenvalue j (count = K when None).
 
-    Explicit single-shift QR with Wilkinson shifts reduces H to triangular
-    Schur form while accumulating the unitary transform; eigenvectors come
-    from back-substitution on the triangular factor. Intended for the small
-    projected matrices produced by Arnoldi (K up to a few hundred).
+    Explicit single-shift QR with Wilkinson shifts, each rotation kept inside
+    the active window and no Schur vectors kept, then inverse iteration on H
+    for the wanted vectors (LAPACK's ZHSEQR job 'E' and ZHSEIN). Arnoldi's
+    K is small, so both run on Python complex scalars.
     """
-    T = np.array(H, dtype=np.complex128)
-    K = T.shape[0]
-    if T.shape != (K, K):
+    H = np.asarray(H, dtype=np.complex128)
+    K = H.shape[0]
+    if H.shape != (K, K):
         raise ValueError("square matrix required")
-    Z = np.eye(K, dtype=np.complex128)
+    T = H.tolist()
     eps = np.finfo(np.float64).eps
-    hi = K - 1
-    iters = 0
-    budget = 60 * max(K, 4)
+    hi, iters, budget = K - 1, 0, 60 * max(K, 4)
     while hi > 0:
-        if abs(T[hi, hi - 1]) <= eps * (abs(T[hi - 1, hi - 1])
-                                        + abs(T[hi, hi])):
-            T[hi, hi - 1] = 0.0
+        sub = abs(T[hi][hi - 1])
+        if sub <= eps * (abs(T[hi - 1][hi - 1]) + abs(T[hi][hi])):
             hi -= 1
             continue
         if iters >= budget:
-            raise NoConvergence(budget, float(abs(T[hi, hi - 1])))
+            raise NoConvergence(budget, sub, f"Hessenberg QR used its {budget}"
+                                f" iterations; subdiagonal {sub:.3e} left")
         iters += 1
         lo = hi
-        while lo > 0 and abs(T[lo, lo - 1]) > eps * (
-                abs(T[lo - 1, lo - 1]) + abs(T[lo, lo])):
+        while lo > 0 and abs(T[lo][lo - 1]) > eps * (
+                abs(T[lo - 1][lo - 1]) + abs(T[lo][lo])):
             lo -= 1
         # Wilkinson shift: trailing 2x2 eigenvalue nearest T[hi, hi]
-        a, b = T[hi - 1, hi - 1], T[hi - 1, hi]
-        c, d = T[hi, hi - 1], T[hi, hi]
+        a, b = T[hi - 1][hi - 1], T[hi - 1][hi]
+        c, d = T[hi][hi - 1], T[hi][hi]
         tr2 = (a + d) / 2.0
-        s = np.sqrt(tr2 * tr2 - (a * d - b * c))
+        s = cmath.sqrt(tr2 * tr2 - (a * d - b * c))
         mu = tr2 + s if abs((tr2 + s) - d) <= abs((tr2 - s) - d) else tr2 - s
-        if not (np.isfinite(mu.real) and np.isfinite(mu.imag)):
+        if not cmath.isfinite(mu):
             mu = d
         if iters % 16 == 0:
             # exceptional shift breaks the rare shift-cycle stall
-            mu = d + 0.75 * abs(T[hi, hi - 1])
-        # explicit shifted QR on the active block: T - mu = QR, T <- RQ + mu
-        dia = np.arange(lo, hi + 1)
-        T[dia, dia] -= mu
+            mu = d + 0.75 * sub
+        # explicit shifted QR on the window: T - mu = QR, T <- RQ + mu
+        for i in range(lo, hi + 1):
+            T[i][i] -= mu
         rots = []
         for i in range(lo, hi):
-            gc, gs = _givens(T[i, i], T[i + 1, i])
-            rots.append((gc, gs))
-            r0 = T[i, i:].copy()
-            r1 = T[i + 1, i:]
-            T[i, i:] = gc * r0 + gs * r1
-            T[i + 1, i:] = -np.conj(gs) * r0 + gc * r1
-            T[i + 1, i] = 0.0
-        for t, i in enumerate(range(lo, hi)):
-            gc, gs = rots[t]
-            top = min(i + 2, hi + 1)
-            c0 = T[:top, i].copy()
-            c1 = T[:top, i + 1]
-            T[:top, i] = gc * c0 + np.conj(gs) * c1
-            T[:top, i + 1] = -gs * c0 + gc * c1
-            z0 = Z[:, i].copy()
-            z1 = Z[:, i + 1]
-            Z[:, i] = gc * z0 + np.conj(gs) * z1
-            Z[:, i + 1] = -gs * z0 + gc * z1
-        T[dia, dia] += mu
-    evals = T.diagonal().copy()
-    # eigenvectors of the triangular factor, then rotate back
-    tnorm = max(np.abs(T).max(), eps)
-    smin = eps * tnorm
-    Y = np.zeros((K, K), dtype=np.complex128)
-    for k in range(K):
-        y = np.zeros(K, dtype=np.complex128)
-        y[k] = 1.0
-        for i in range(k - 1, -1, -1):
-            s = (T[i, i + 1:k + 1] * y[i + 1:k + 1]).sum()
-            den = T[i, i] - evals[k]
-            if abs(den) < smin:
-                den = smin
-            y[i] = -s / den
-        Y[:, k] = y / norm(y)
-    V = np.zeros((K, K), dtype=np.complex128)
-    for k in range(K):
-        V[:, k] = (Z * Y[:, k][None, :]).sum(axis=1)
-    return evals, V
+            top, low = T[i], T[i + 1]
+            gc, gs = _givens(top[i], low[i])
+            gsc = gs.conjugate()
+            r0, r1 = top[i:hi + 1], low[i:hi + 1]
+            top[i:hi + 1] = [gc * x + gs * y for x, y in zip(r0, r1)]
+            low[i:hi + 1] = [gc * y - gsc * x for x, y in zip(r0, r1)]
+            low[i] = 0j
+            rots.append((i, gc, gs, gsc))
+        for i, gc, gs, gsc in rots:
+            for row in T[lo:min(i + 2, hi + 1)]:
+                x, y = row[i], row[i + 1]
+                row[i] = gc * x + gsc * y
+                row[i + 1] = gc * y - gs * x
+        for i in range(lo, hi + 1):
+            T[i][i] += mu
+    evals = sorted((T[i][i] for i in range(K)), key=lambda z: -abs(z))
+    # inverse iteration: two solves with H - lam I, each column pivoting
+    # between its diagonal and subdiagonal row (a zero pivot reads eps |H|_1),
+    # each from the last vector made orthogonal to those taken for an equal
+    # eigenvalue: a semisimple one so yields an orthonormal set, a defective
+    # one its single eigenvector again.
+    floor = eps * (np.abs(H).sum(axis=0).max(initial=0.0) or 1.0)
+    rng = np.random.default_rng(_SEED)
+    vecs = []
+    for lam in evals[:K if count is None else count]:
+        peers = [v for v, mu in zip(vecs, evals) if abs(mu - lam) <= floor]
+        x = rng.standard_normal(K).astype(complex).tolist()
+        for _ in range(2):
+            for p in peers:
+                c = sum(q.conjugate() * z for q, z in zip(p, x))
+                x = [z - c * q for q, z in zip(p, x)]
+            U = H.tolist()
+            for j in range(K):
+                U[j][j] -= lam
+                if j:
+                    if abs(U[j][j - 1]) > abs(U[j - 1][j - 1]):
+                        U[j - 1], U[j] = U[j], U[j - 1]
+                        x[j - 1], x[j] = x[j], x[j - 1]
+                    top, low = U[j - 1], U[j]
+                    f = low[j - 1] / (top[j - 1] or floor)
+                    low[j:] = [v - f * u for u, v in zip(top[j:], low[j:])]
+                    x[j] -= f * x[j - 1]
+            for i in range(K - 1, -1, -1):
+                dot = sum(u * v for u, v in zip(U[i][i + 1:], x[i + 1:]))
+                x[i] = (x[i] - dot) / (U[i][i] or floor)
+            s = math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in x))
+            x = [z / s for z in x]
+        vecs.append(x)
+    return (np.array(evals, dtype=np.complex128),
+            np.array(vecs, dtype=np.complex128).reshape(len(vecs), K).T)
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +494,12 @@ def shift_invert_eigs(A: SparseOperator, shift: complex, m: int,
                 V[built + 1] = w / beta
             built += 1
         k = built
-        mu, Y = hessenberg_eig(Hm[:k, :k])
-        lam = shift + 1.0 / np.where(mu == 0, np.finfo(float).tiny, mu)
+        mu, Y = hessenberg_eig(Hm[:k, :k], count=m)
+        lam = shift + 1.0 / np.where(mu[:m] == 0, np.finfo(float).tiny, mu[:m])
         order = np.argsort(np.abs(lam - shift), kind="stable")
         pairs: list[EigenPair] = []
         worst = 0.0
-        for idx in order[:m]:
+        for idx in order:
             v = (V[:k] * Y[:, idx][:, None]).sum(axis=0)
             v = _unit_gauge(v)
             r = A.apply(v) - lam[idx] * v
@@ -491,10 +507,12 @@ def shift_invert_eigs(A: SparseOperator, shift: complex, m: int,
             best_res = min(best_res, res)
             pairs.append(EigenPair(complex(lam[idx]), v, res))
             worst = max(worst, res)
-        if worst <= tol and len(pairs) == m:
+        if worst <= tol:
             return pairs
         if K >= min(n, cap):
-            raise NoConvergence(max_iter, float(best_res))
+            raise NoConvergence(solves, float(best_res), (
+                f"no convergence at the Krylov cap of {K} vectors after "
+                f"{solves} solves (best residual {best_res:.3e})"))
         K = min(min(n, cap), K + 4)
 
 

@@ -275,6 +275,57 @@ class TestHessenbergEig:
         evals, _ = hessenberg_eig(H)
         assert np.allclose(np.sort_complex(evals), [2.0, 2.0, 5.0])
 
+    def test_wanted_vectors_against_dense_oracle(self):
+        rng = np.random.default_rng(12)
+        K = 30
+        H = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
+        H = np.triu(H, -1)
+        evals, vecs = hessenberg_eig(H, count=3)
+        oracle = np.linalg.eigvals(H)
+        oracle = oracle[np.argsort(-np.abs(oracle), kind="stable")]
+        assert evals.shape == (K,) and vecs.shape == (K, 3)
+        assert np.allclose(evals, oracle, rtol=0.0,
+                           atol=1e-12 * np.linalg.norm(H, 2))
+        for k in range(3):
+            assert abs(norm(vecs[:, k]) - 1.0) <= 1e-14
+            r = H @ vecs[:, k] - evals[k] * vecs[:, k]
+            assert norm(r) <= 1e-12 * np.linalg.norm(H, 2)
+
+    def test_semisimple_double_eigenvalue_gives_orthonormal_pair(self):
+        # two copies of one Hermitian tridiagonal block: every eigenvalue is
+        # exactly double, with a two-dimensional eigenspace
+        B = np.diag([4.0, 3.0, 2.0]).astype(complex)
+        B[0, 1], B[1, 2] = 1.0 + 1.0j, 0.5j
+        B += np.triu(B, 1).conj().T
+        H = np.zeros((6, 6), dtype=complex)
+        H[:3, :3] = H[3:, 3:] = B
+        lam, Q = np.linalg.eigh(H)
+        evals, vecs = hessenberg_eig(H, count=2)
+        assert np.allclose(evals[:2], lam[-1], rtol=0.0, atol=1e-13)
+        assert np.allclose(np.conj(vecs.T) @ vecs, np.eye(2), atol=1e-12)
+        space = Q[:, np.isclose(lam, lam[-1], rtol=0.0, atol=1e-12)]
+        assert space.shape == (6, 2)
+        overlap = np.conj(space.T) @ vecs
+        assert abs(abs(np.linalg.det(overlap)) - 1.0) <= 1e-12
+
+    def test_jordan_block_vectors_have_small_residuals(self):
+        # defective: one eigenvector for the double eigenvalue, returned for
+        # both copies
+        H = np.array([[2.0 + 1.0j, 1.0], [0.0, 2.0 + 1.0j]])
+        evals, vecs = hessenberg_eig(H)
+        assert np.allclose(evals, 2.0 + 1.0j, rtol=0.0, atol=1e-15)
+        for k in range(2):
+            assert abs(norm(vecs[:, k]) - 1.0) <= 1e-14
+            assert norm(H @ vecs[:, k] - evals[k] * vecs[:, k]) <= 1e-12
+
+    def test_bitwise_repeat(self):
+        rng = np.random.default_rng(13)
+        H = np.triu(rng.standard_normal((20, 20))
+                    + 1j * rng.standard_normal((20, 20)), -1)
+        first = hessenberg_eig(H, count=4)
+        again = hessenberg_eig(H, count=4)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+
 
 class TestShiftInvert:
     def test_diagonal_nearest_ordering(self):
@@ -344,6 +395,17 @@ class TestShiftInvert:
         assert info.value.max_iter == 1
         assert info.value.best_residual >= 0.0
 
+    def test_krylov_cap_names_itself_and_its_solves(self):
+        # the whole 3-dimensional space is spanned after 3 solves; no
+        # residual meets tol=1e-300, and the error says so, not the budget
+        A = SparseOperator(3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 10.0],
+                           symmetric=True)
+        with pytest.raises(NoConvergence) as info:
+            shift_invert_eigs(A, 1.6, 2, tol=1e-300)
+        assert "Krylov cap" in str(info.value)
+        assert "after 3 solves" in str(info.value)
+        assert info.value.max_iter == 3
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_measures_only_the_wanted_ritz_vectors(self, monkeypatch, m):
         # each convergence check applies A once per pair it can return
@@ -354,9 +416,9 @@ class TestShiftInvert:
             calls["apply"] += 1
             return apply(self, x)
 
-        def counted_eig(H):
+        def counted_eig(H, *args, **kwargs):
             calls["check"] += 1
-            return eig(H)
+            return eig(H, *args, **kwargs)
 
         monkeypatch.setattr(SparseOperator, "apply", counted_apply)
         monkeypatch.setattr(linalg, "hessenberg_eig", counted_eig)
@@ -431,6 +493,52 @@ def test_src_never_names_numpy_linalg():
             for i, line in enumerate(path.read_text().splitlines(), 1)
             if named.search(line)]
     assert hits == []
+
+
+_DENSE_CALLS = {"dot", "matmul", "einsum", "tensordot", "vdot", "inner"}
+_DENSE_MODULES = ("numpy.linalg", "numpy.fft")
+
+
+def _dense_linear_algebra(tree):
+    """(line, what) for each numpy.linalg or numpy.fft access, each @ and
+    each call of a BLAS-backed product in a parsed module."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+        elif isinstance(node, ast.Attribute) \
+                and f"{getattr(node.value, 'id', '')}.{node.attr}" in (
+                    "np.linalg", "np.fft", *_DENSE_MODULES):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.Import) and any(
+                alias.name.startswith(_DENSE_MODULES) for alias in node.names):
+            yield node.lineno, "import"
+        elif isinstance(node, ast.ImportFrom) and not node.level and any(
+                f"{node.module}.{alias.name}".startswith(_DENSE_MODULES)
+                for alias in node.names):
+            yield node.lineno, "import"
+        elif isinstance(node, ast.Call) and _DENSE_CALLS & {
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)}:
+            yield node.lineno, "call"
+
+
+def test_src_uses_no_dense_linear_algebra():
+    # every product is a broadcast multiply and an explicit sum: no
+    # numpy.linalg or numpy.fft, no matmul operator and no BLAS-backed call
+    pkg = Path(__file__).resolve().parent.parent / "src" / "epmodes"
+    hits = [f"{path.name}:{line} {what}"
+            for path in sorted(pkg.glob("*.py"))
+            for line, what in _dense_linear_algebra(
+                ast.parse(path.read_text()))]
+    assert hits == []
+    planted = ast.parse("import numpy.fft\nfrom numpy import linalg\n"
+                        "y = a @ b\nz = np.einsum('i,i', a, b)\n"
+                        "w = numpy.linalg.norm(a)\nv = a.dot(b)\n"
+                        "from numpy.linalg import eig\nu = np.outer(a, b)\n"
+                        "from . import linalg\n")
+    assert sorted(line for line, _ in _dense_linear_algebra(planted)) == [
+        1, 2, 3, 4, 5, 6, 7]
 
 
 def _open_calls(tree):
