@@ -230,8 +230,6 @@ def parse_output_options(text: str, overrides=()) -> dict:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, float):
         return repr(value)
     return str(value)

@@ -10,6 +10,7 @@ a right-eigenpair solver is all that is needed. The chain is:
       -> shift-invert Arnoldi with full reorthogonalization; each solve
          replays the triangles a block of rows at a time in every lane
       -> eigenvalue-only Hessenberg QR, inverse iteration for m vectors only
+      -> one gauge for every eigenvector: unit norm, sum v^2 real positive
 
 numpy is used as array storage and elementwise arithmetic only: every
 product is a broadcast multiply and an explicit sum, with no matrix-product
@@ -37,15 +38,15 @@ class SingularShift(Exception):
 
 
 class NoConvergence(Exception):
-    """A solve hit a limit first (Arnoldi's LU solve budget or Krylov cap, or
-    the QR's iteration budget), named in the message; `max_iter` is the count
-    it stopped at, `best_residual` the smallest residual that missed tol."""
+    """A solve hit a solver limit first (Arnoldi's Krylov cap or the QR's
+    iteration budget), named in the message; `max_iter` is the count it
+    stopped at, `best_residual` the smallest residual that missed tol."""
 
     def __init__(self, max_iter: int, best_residual: float, reason: str = ""):
         self.max_iter = max_iter
         self.best_residual = best_residual
         super().__init__(reason or (
-            f"no convergence within the budget of {max_iter} LU solves "
+            f"no convergence after {max_iter} steps "
             f"(best residual {best_residual:.3e})"))
 
 
@@ -417,25 +418,29 @@ def hessenberg_eig(H: np.ndarray, count: int | None = None
 
 
 def _unit_gauge(v: np.ndarray) -> np.ndarray:
-    """Unit 2-norm with the largest-modulus entry rotated to be real positive.
-
-    Deterministic tie-break: argmax takes the first maximal entry, so
-    recomputation is bitwise stable.
-    """
-    i = int(np.argmax(np.abs(v)))
-    piv = v[i]
-    if piv != 0:
-        v = v * (np.conj(piv) / abs(piv))
-    return v / norm(v)
+    """The one eigenvector gauge: unit 2-norm, the phase that makes sum v^2
+    (the biorthogonal norm of a complex-symmetric mode) real positive, and
+    the sign that gives the largest-modulus entry (the first, on ties) a
+    positive real part. A self-orthogonal v (|sum v^2| < 1e-12) has no such
+    phase; its largest entry is made real positive instead."""
+    v = v / norm(v)
+    piv = v[int(np.argmax(np.abs(v)))]
+    s = (v * v).sum()
+    if abs(s) < 1e-12:
+        return v * (np.conj(piv) / abs(piv))
+    rot = np.exp(-0.5j * np.angle(s))
+    return v * (rot if (piv * rot).real >= 0 else -rot)
 
 
 def shift_invert_eigs(A: SparseOperator, shift: complex, m: int,
-                      tol: float = 1e-10, max_iter: int = 400) -> list[EigenPair]:
-    """The m eigenpairs of A nearest `shift`, sorted by |lambda - shift|.
+                      tol: float = 1e-10) -> list[EigenPair]:
+    """The m eigenpairs of A nearest `shift`, sorted by |lambda - shift|,
+    each vector in `_unit_gauge`.
 
-    Arnoldi runs on (A - shift I)^{-1}; Ritz values mu map back through
-    lambda = shift + 1/mu. Residuals are measured on A itself, never on the
-    projected problem, so the returned `residual_norm` is the real thing.
+    Arnoldi runs on (A - shift I)^{-1}, one LU solve per Krylov vector, up to
+    the cap min(n, max(4m + 24, 200)) vectors, its one limit. Ritz values mu
+    map back through lambda = shift + 1/mu. Residuals are measured on A
+    itself, never on the projected problem.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -454,16 +459,12 @@ def shift_invert_eigs(A: SparseOperator, shift: complex, m: int,
     V = np.zeros((cap + 1, n), dtype=np.complex128)  # basis vectors as rows
     Hm = np.zeros((cap + 1, cap), dtype=np.complex128)
     V[0] = v0
-    built = 0
-    solves = 0
+    built = 0  # one LU solve per built vector
     best_res = np.inf
 
     while True:
         while built < K:
-            if solves >= max_iter:
-                raise NoConvergence(max_iter, float(best_res))
             w = lu.solve(V[built])
-            solves += 1
             wnorm = norm(w)
             # classical Gram-Schmidt, twice: cheap and reliably orthogonal;
             # conj(sum V conj(w)) conjugates w once instead of a copy of V
@@ -500,8 +501,7 @@ def shift_invert_eigs(A: SparseOperator, shift: complex, m: int,
         pairs: list[EigenPair] = []
         worst = 0.0
         for idx in order:
-            v = (V[:k] * Y[:, idx][:, None]).sum(axis=0)
-            v = _unit_gauge(v)
+            v = _unit_gauge((V[:k] * Y[:, idx][:, None]).sum(axis=0))
             r = A.apply(v) - lam[idx] * v
             res = float(norm(r))
             best_res = min(best_res, res)
@@ -509,11 +509,11 @@ def shift_invert_eigs(A: SparseOperator, shift: complex, m: int,
             worst = max(worst, res)
         if worst <= tol:
             return pairs
-        if K >= min(n, cap):
-            raise NoConvergence(solves, float(best_res), (
+        if K >= cap:
+            raise NoConvergence(built, float(best_res), (
                 f"no convergence at the Krylov cap of {K} vectors after "
-                f"{solves} solves (best residual {best_res:.3e})"))
-        K = min(min(n, cap), K + 4)
+                f"{built} solves (best residual {best_res:.3e})"))
+        K = min(cap, K + 4)
 
 
 def eig2x2(H) -> list[EigenPair]:

@@ -193,21 +193,11 @@ def two_level_hamiltonian(p: TwoLevelParams) -> np.ndarray:
                      [p.g, -p.delta]], dtype=np.complex128)
 
 
-def _align_gauge(v: np.ndarray) -> np.ndarray:
-    # rotate so sum psi^2 is real positive; at self-orthogonality the sum
-    # vanishes and the incoming gauge is kept
-    s = 0 + np.add.accumulate(v * v)[-1].item()  # circstats.fold_sum's fold
-    if abs(s) < 1e-12 * float(norm(v)) ** 2:
-        return v
-    return v * np.exp(-0.5j * np.angle(s))
-
-
 def two_level_modes(p: TwoLevelParams) -> list[Mode]:
-    """Both eigenmodes of the two-level matrix, as analyzable Mode objects."""
+    """Both eigenmodes of the two-level matrix, psi in eig2x2's gauge."""
     pairs = eig2x2(two_level_hamiltonian(p))
-    return [Mode(None, _align_gauge(q.eigenvector), q.eigenvalue,
-                 "two_level", q.residual_norm, q.degenerate)
-            for q in pairs]
+    return [Mode(None, q.eigenvector, q.eigenvalue, "two_level",
+                 q.residual_norm, q.degenerate) for q in pairs]
 
 
 def build_ellipse_grid(spec: CavitySpec) -> GridGeometry:
@@ -303,9 +293,11 @@ def solve_cavity_modes(op: CavityOperator, k_target: float, m: int
 
     The operator must come from assemble_helmholtz: the modes live on its
     geometry, and the geometry's spec names their variant. One Arnoldi runs
-    on `parity_reduce(op)`; each Ritz vector maps back as psi = Q y, with its
-    residual measured on op. k = sqrt(lambda) on the principal branch
-    (Re k >= 0); for absorbing cavities Im lambda < 0 puts Im k < 0.
+    on `parity_reduce(op)`; each Ritz vector y maps back as psi = Q y / h,
+    with its residual measured on op. Q is real orthogonal, so psi keeps the
+    solver's gauge of y: unit intensity and sum psi^2 real positive.
+    k = sqrt(lambda) on the principal branch (Re k >= 0); for absorbing
+    cavities Im lambda < 0 puts Im k < 0.
     """
     if not k_target > 0:
         raise ValueError("k_target must be positive")
@@ -321,8 +313,6 @@ def solve_cavity_modes(op: CavityOperator, k_target: float, m: int
     for q in pairs:
         k = complex(np.sqrt(np.complex128(q.eigenvalue)))
         v = (weight * q.eigenvector[block]).sum(axis=0)
-        r = op.apply(v) - q.eigenvalue * v  # residual on A itself
-        res = float(norm(r))
-        psi = _align_gauge(v) / geom.h  # unit 2-norm -> unit intensity
-        out.append(Mode(geom, psi, k, provenance, res, q.degenerate))
+        res = float(norm(op.apply(v) - q.eigenvalue * v))  # on A itself
+        out.append(Mode(geom, v / geom.h, k, provenance, res, q.degenerate))
     return out

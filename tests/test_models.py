@@ -234,6 +234,9 @@ class TestCavityModes:
             lam = m.eigen_k**2
             assert lam.imag <= 1e-8
             assert m.provenance == "cavity_open"
+            # the solver's gauge survives the map back through Q
+            s = (m.psi * m.psi).sum()
+            assert abs(s.imag) <= 1e-12 * abs(s) and s.real > 0
 
     def test_transpose_is_left_eigenvector(self):
         s = CavitySpec(epsilon=0.1, mean_radius=1.0, h=0.04, variant="open",
