@@ -155,6 +155,7 @@ class Factorization:
         self._perm = perm
         self._L = lpanel
         self._Uinv = uinv
+        self.real = band.dtype == np.float64  # A and the shift were real
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=np.complex128)
@@ -208,8 +209,9 @@ def lu_factor(A: SparseOperator, shift: complex = 0.0) -> Factorization:
     """Banded LU of (A - shift I) with partial pivoting by largest modulus.
 
     Factors in float64 when the operator and the shift are both real (every
-    closed cavity), in complex128 otherwise. The block data that
-    `Factorization.solve` replays is built here, once per factor.
+    closed cavity; the result's `real` says so), in complex128 otherwise. The
+    block data that `Factorization.solve` replays is built here, once per
+    factor.
 
     Row-slot storage while factoring: T[r, t] holds matrix entry
     (r, r - kl + t), giving each row a contiguous window of 2*kl + ku + 1
@@ -451,7 +453,12 @@ def shift_invert_eigs(A: SparseOperator, shift: complex, m: int,
     n = A.n
     lu = lu_factor(A, shift)
     rng = np.random.default_rng(_SEED)
-    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    def draw():  # real draws keep a real factor's Krylov space real
+        x = rng.standard_normal(n)
+        return x if lu.real else x + 1j * rng.standard_normal(n)
+
+    v0 = draw()
     v0 /= norm(v0)
 
     cap = min(n, max(4 * m + 24, 200))
@@ -475,7 +482,7 @@ def shift_invert_eigs(A: SparseOperator, shift: complex, m: int,
             beta = norm(w)
             if beta <= 1e-12 * max(wnorm, 1e-300):
                 # w already in the span: try a fresh orthogonal direction
-                fresh = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                fresh = draw()
                 for _ in range(2):
                     h = np.conj((V[:built + 1]
                                  * np.conj(fresh)[None, :]).sum(axis=1))

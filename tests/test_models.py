@@ -238,6 +238,17 @@ class TestCavityModes:
             s = (m.psi * m.psi).sum()
             assert abs(s.imag) <= 1e-12 * abs(s) and s.real > 0
 
+    @pytest.mark.parametrize("eps, k", [(0.1, 2.5), (0.0, J1_1)])
+    def test_closed_modes_stay_real(self, eps, k):
+        # a real operator and shift factor in float64, and real Arnoldi
+        # start vectors keep the Krylov space, the QR and the Ritz vectors
+        # real, the degenerate disc pair (eps = 0, J1) included
+        s = CavitySpec(epsilon=eps, mean_radius=1.0, h=0.05)
+        op = assemble_helmholtz(build_ellipse_grid(s), s)
+        for m in solve_cavity_modes(op, k, 2):
+            assert m.eigen_k.imag == 0.0
+            assert not m.psi.imag.any()
+
     def test_transpose_is_left_eigenvector(self):
         s = CavitySpec(epsilon=0.1, mean_radius=1.0, h=0.04, variant="open",
                        cap_strength=5.0, cap_width=0.2)
