@@ -99,6 +99,8 @@ class SparseOperator:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """y = A x by scatter-add over the triplets."""
         x = np.asarray(x, dtype=np.complex128)
+        if x.shape != (self.n,):
+            raise ValueError("vector length mismatch")
         y = np.zeros(self.n, dtype=np.complex128)
         np.add.at(y, self.rows, self.vals * x[self.cols])
         return y

@@ -76,6 +76,13 @@ class TestSparseOperator:
         x = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         assert norm(A.apply(x) - to_dense(A) @ x) < 1e-12 * norm(x)
 
+    @pytest.mark.parametrize("size", [4, 2])
+    def test_apply_rejects_wrong_length(self, size):
+        # x[cols] would silently drop the tail of a longer vector
+        A = SparseOperator(3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="length"):
+            A.apply(np.ones(size))
+
     def test_duplicate_entries_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             SparseOperator(2, [0, 0], [1, 1], [1.0, 2.0])
