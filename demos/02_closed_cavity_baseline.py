@@ -3,9 +3,10 @@
 Two checks that anchor everything downstream. First, on the disc the lowest
 Dirichlet eigenvalues are known in closed form (Bessel zeros), which
 calibrates the finite-difference solver. Second, a deformation sweep of the
-closed ellipse shows what rigid modes look like: R2 pinned at 1, real
-eigenvalues, zero folded phase entropy, and an unfolded entropy of ln 2
-from the two phase atoms at 0 and pi.
+closed ellipse shows what rigid modes look like: a real operator solved in
+real arithmetic gives exactly real k and psi, so R2 and K are exactly 1 and
+the folded phase entropy exactly 0, and a mode with a nodal line has an
+unfolded entropy of ln 2 from the two phase atoms at 0 and pi.
 
     python3 demos/02_closed_cavity_baseline.py
 """
@@ -47,5 +48,6 @@ print("merges the two atoms back to a single bin (S_folded = 0).")
 # the same numbers are available one mode at a time
 single = mode_diagnostics(modes[0])
 print()
-print(f"disc ground mode: R2 = {single.R2:.6f}, K = {single.K:.6f}, "
-      f"Im k = {single.im_eigenvalue:.2e}")
+print(f"disc ground mode: R2 = {single.R2!r}, K = {single.K!r}, "
+      f"Im k = {single.im_eigenvalue!r}, "
+      f"max |Im psi| = {float(np.abs(modes[0].psi.imag).max())!r}")

@@ -425,7 +425,7 @@ class TestShiftInvert:
 
     def test_krylov_cap_names_itself_and_its_solves(self):
         # the whole 3-dimensional space is spanned after 3 solves; no
-        # residual meets tol=1e-300, and the error says so, not the budget
+        # residual meets tol=1e-300, and the error names the cap it hit
         A = SparseOperator(3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 10.0],
                            symmetric=True)
         with pytest.raises(NoConvergence) as info:
