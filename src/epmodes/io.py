@@ -365,6 +365,16 @@ def read_sweep_csv(path) -> list:
     return records
 
 
+def _reprs(values: np.ndarray) -> map:
+    """repr of each float, lazily, formatting each distinct bit pattern
+    once."""
+    bits = values.view(np.uint64)
+    u = np.sort(bits)
+    u = u[np.concatenate(([True], u[1:] != u[:-1]))]  # each pattern once
+    text = dict(zip(u.tolist(), map(repr, u.view(np.float64).tolist())))
+    return map(text.__getitem__, memoryview(bits))
+
+
 def write_mode_file(mode: Mode, path, parameter: float | None = None) -> None:
     """EPMODE 1 text format: header lines, blank line, one row per point.
 
@@ -387,14 +397,14 @@ def write_mode_file(mode: Mode, path, parameter: float | None = None) -> None:
         for f in fields(CavitySpec):
             v = getattr(geo.spec, f.name)
             lines.append(f"{f.name}: {_fmt(v if _is_text(f) else float(v))}")
-        xs, ys = geo.pt_x, geo.pt_y
+        xs, ys = _reprs(geo.pt_x), _reprs(geo.pt_y)
     else:
-        xs = ys = np.zeros(mode.psi.size)
+        xs = ys = ["0.0"] * mode.psi.size
     lines.append("")
-    rows = zip(range(mode.psi.size), map(float, xs), map(float, ys),
-               map(float, mode.psi.real), map(float, mode.psi.imag))
-    lines.extend(f"{i} {x!r} {y!r} {real!r} {imag!r}"
-                 for i, x, y, real, imag in rows)
+    psi = mode.psi  # read through memoryviews: no list of n floats
+    lines.extend(map(" ".join, zip(
+        map(str, range(psi.size)), xs, ys,
+        map(repr, memoryview(psi.real)), map(repr, memoryview(psi.imag)))))
     write_text(path, "\n".join(lines) + "\n")
 
 

@@ -222,7 +222,11 @@ def lu_factor(A: SparseOperator, shift: complex = 0.0) -> Factorization:
     unless a swap pulled a longer row up; `reach`, the furthest column a
     swap has brought into the rows not yet eliminated, keeps every row
     r > j zero past max(r + ku, reach), so each column updates only the
-    columns its pivot row reaches.
+    columns its pivot row reaches. The scale is read from the entries. L's
+    panels and the band share one buffer, so a factor makes one large
+    allocation and frees it once. After the loop U's diagonal and wu slots
+    move to the band's front, in row chunks that end before their source
+    begins, and the buffer shrinks to L, those slots and U's blocks.
     """
     n = A.n
     kl, ku = A.bandwidths()
@@ -246,10 +250,13 @@ def lu_factor(A: SparseOperator, shift: complex = 0.0) -> Factorization:
         vals, shift = A.vals.real, complex(shift).real
     else:
         vals = A.vals
-    T = np.zeros((nl * ln, w), dtype=vals.dtype)
+    nL, nU = nb * nl * (B + kl) * B, nb * nl * B * B
+    buf = np.zeros(nL + nl * ln * w, dtype=vals.dtype)
+    L, T = buf[:nL].reshape(nb, nl, B + kl, B), buf[nL:].reshape(-1, w)
     T[rows[A.rows], A.cols - A.rows + kl] = vals
     T[rows, kl] -= shift
-    scale = np.abs(T).max(initial=0.0)
+    scale = max(np.abs(vals[A.rows != A.cols]).max(initial=0.0),
+                np.abs(T[rows, kl]).max(initial=0.0))
     if scale == 0.0:
         raise SingularShift("operator minus shift is identically zero")
     pad = np.arange(span) >= lens[:, None]
@@ -257,7 +264,6 @@ def lu_factor(A: SparseOperator, shift: complex = 0.0) -> Factorization:
 
     perm = (B * np.arange(nb)[:, None, None] + np.arange(B + kl)
             + base[:, None])
-    L = np.zeros((nb, nl, B + kl, B), dtype=T.dtype)
     sz = T.itemsize
     # S[l, j, r, t] is lane l's entry (j + r, j + t)
     S = as_strided(T.reshape(-1)[kl:], shape=(nl, span, kl + 1, kl + ku + 1),
@@ -290,13 +296,23 @@ def lu_factor(A: SparseOperator, shift: complex = 0.0) -> Factorization:
             f"pivot modulus {piv[bad]:.3e} at column {at[bad]} below "
             f"{_PIVOT_RTOL:.0e} of matrix scale"
         )
-    del S, Sj  # frees the full band: U's diagonal and wu slots are left
-    T = T[:, kl:kl + max(wu, B - 1) + 1].copy()
+    del S, Sj
+    R, W, a = T.shape[0], max(wu, B - 1) + 1, 0
+    while a < R:
+        b = min(R, max(a + 1, (a * w + kl) // W))
+        T.reshape(-1)[a * W:b * W].reshape(b - a, W)[:] = T[a:b, kl:kl + W]
+        a = b
+    del L, T
+    buf.resize(nL + R * W + nU)  # U's blocks go behind the kept band
+    L = buf[:nL].reshape(nb, nl, B + kl, B)
+    T = buf[nL:nL + R * W].reshape(R, W)
+    U = buf[nL + R * W:].reshape(nb, nl, B, B)
     _invert_unit_lower(L.reshape(-1, B + kl, B)[:, :B])
 
-    brow = base[:, None] + B * np.arange(nb)[:, None, None] + np.arange(B)
+    # U[k, l, i, j] = T[base_l + kB + i, j - i], zeroed where j < i
+    U[:] = as_strided(T, shape=(nb, nl, B, B),
+                      strides=(B * W * sz, ln * W * sz, (W - 1) * sz, sz))
     off = np.arange(B)[None, :] - np.arange(B)[:, None]  # column minus row
-    U = T[brow[..., None], np.maximum(off, 0)]
     U[:, :, off < 0] = 0.0
     tail = np.arange(span, nb * B)
     U[tail // B, :, tail % B, tail % B] = 1.0
@@ -444,7 +460,8 @@ def shift_invert_eigs(A: SparseOperator, shift: complex, m: int,
     Arnoldi runs on (A - shift I)^{-1}, one LU solve per Krylov vector, up to
     the cap min(n, max(4m + 24, 200)) vectors, its one limit. Ritz values mu
     map back through lambda = shift + 1/mu. Residuals are measured on A
-    itself, never on the projected problem.
+    itself, never on the projected problem. The basis V starts at K + 1
+    rows and doubles, up to cap + 1, when K outgrows it.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -465,13 +482,15 @@ def shift_invert_eigs(A: SparseOperator, shift: complex, m: int,
 
     cap = min(n, max(4 * m + 24, 200))
     K = min(n, max(2 * m + 4, 8))
-    V = np.zeros((cap + 1, n), dtype=np.complex128)  # basis vectors as rows
+    V = np.zeros((K + 1, n), dtype=np.complex128)  # basis vectors as rows
     Hm = np.zeros((cap + 1, cap), dtype=np.complex128)
     V[0] = v0
     built = 0  # one LU solve per built vector
     best_res = np.inf
 
     while True:
+        if len(V) <= K:
+            V = np.concatenate((V, np.zeros_like(V[:cap + 1 - len(V)])))
         while built < K:
             w = lu.solve(V[built])
             wnorm = norm(w)

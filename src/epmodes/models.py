@@ -268,7 +268,9 @@ def parity_reduce(op: CavityOperator) -> SparseOperator:
     """Q^T A Q in the geometry's `parity_basis`: four diagonal blocks. A is
     checked to be bitwise invariant under both reflections, the condition
     for the cross-sector blocks to vanish. Each entry sums equal terms
-    (w_r w_c) v, so the result is exactly complex symmetric."""
+    (w_r w_c) v, so the result is exactly complex symmetric. Only the
+    representative row (X >= 0, Y >= 0) of each orbit O_r is read, its
+    terms scaled by |O_r| in {1, 2, 4}: 2 or 4 equal terms sum exactly."""
     geom, n = op.geometry, op.n
     for mirror in (geom.index_of[::-1, :], geom.index_of[:, ::-1]):
         image = mirror[geom.interior_mask]
@@ -277,13 +279,18 @@ def parity_reduce(op: CavityOperator) -> SparseOperator:
         if image.min() < 0 or np.any(key[order] != op.rows * n + op.cols) \
                 or np.any(op.vals[order] != op.vals):
             raise ValueError("operator is not mirror symmetric")
+    X = (geom.ix_min + geom.pt_ix)[op.rows]
+    Y = (geom.iy_min + geom.pt_iy)[op.rows]
+    rep = (X >= 0) & (Y >= 0)
+    rows, cols = op.rows[rep], op.cols[rep]
     block, weight = geom.parity_basis
-    w = weight[:, op.rows] * weight[:, op.cols]
+    w = weight[:, rows] * weight[:, cols] * (
+        (1.0 + (X[rep] != 0)) * (1.0 + (Y[rep] != 0)))
     keep = w != 0.0
-    keys = (block[:, op.rows] * n + block[:, op.cols])[keep]
+    keys = (block[:, rows] * n + block[:, cols])[keep]
     uniq, inv = np.unique(keys, return_inverse=True)
     vals = np.zeros(uniq.size, dtype=np.complex128)
-    np.add.at(vals, inv, (w * op.vals[None, :])[keep])
+    np.add.at(vals, inv, (w * op.vals[rep][None, :])[keep])
     return SparseOperator(n, uniq // n, uniq % n, vals, symmetric=True)
 
 

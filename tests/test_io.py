@@ -573,6 +573,36 @@ class TestModeFile:
         assert np.array_equal(np.signbit(back.psi.view(np.float64)),
                               [True, False, False, True])
 
+    @pytest.mark.parametrize("kind", ["open", "closed", "two_level"])
+    def test_rows_equal_per_row_reference(self, cavity_mode, tmp_path, kind):
+        if kind == "open":
+            spec = CavitySpec(0.28, h=0.05, variant="open", cap_strength=8.0)
+            op = assemble_helmholtz(build_ellipse_grid(spec), spec)
+            mode = solve_cavity_modes(op, 6.92, 1)[0]
+        elif kind == "closed":
+            mode = cavity_mode
+        else:
+            mode = two_level_modes(TwoLevelParams(0.3, 1.0, 2.0))[0]
+        # signed zeros in psi, rescaled part by part so that no sign moves
+        psi = mode.psi.copy()
+        psi.real[:2] = -0.0
+        psi.imag[1:3] = -0.0
+        scale = 1.0 / (np.sqrt((np.abs(psi) ** 2).sum()) * mode.h)
+        psi.real *= scale
+        psi.imag *= scale
+        mode = dataclasses.replace(mode, psi=psi)
+        geo = mode.geometry
+        xs, ys = ((geo.pt_x, geo.pt_y) if geo is not None
+                  else [np.zeros(psi.size)] * 2)
+        want = "".join(f"{i} {float(x)!r} {float(y)!r} {float(p.real)!r} "
+                       f"{float(p.imag)!r}\n"
+                       for i, (x, y, p) in enumerate(zip(xs, ys, psi)))
+        path = tmp_path / "m.ep"
+        write_mode_file(mode, path)
+        rows = path.read_text().partition("\n\n")[2]
+        assert "-0.0 " in rows
+        assert rows == want
+
     @pytest.mark.parametrize("key, bad", [("epsilon", "0.7"),
                                           ("mean_radius", "0"),
                                           ("h", "0"),

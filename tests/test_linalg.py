@@ -9,6 +9,7 @@ import ast
 import cmath
 import inspect
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -436,6 +437,15 @@ class TestShiftInvert:
         assert np.isfinite(info.value.best_residual)
         assert info.value.best_residual >= 0.0
 
+    def test_krylov_cap_after_the_basis_grows(self):
+        # the basis starts at K + 1 = 9 rows and doubles twice to reach the
+        # cap of 30 vectors; the cap exit still counts every solve
+        with pytest.raises(NoConvergence) as info:
+            shift_invert_eigs(laplacian_1d(30, 1.0 / 31.0), 9.0, 2,
+                              tol=1e-300)
+        assert "Krylov cap of 30 vectors after 30 solves" in str(info.value)
+        assert info.value.max_iter == 30
+
     def test_no_convergence_default_text_names_no_budget(self):
         # sweep rows built from (count, residual) alone still read well
         err = NoConvergence(17, 1e-3)
@@ -523,6 +533,42 @@ class TestEig2x2:
                 assert p.residual_norm < 1e-12 * max(1.0, np.abs(M).max())
 
 
+def _traced_peak(f, *args):
+    """(f(*args), the most bytes f held at once beyond what was live)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_cavity_solve_allocates_only_what_it_keeps(monkeypatch):
+    # criterion 6's h = 1/50 point (n = 7125, four lanes of kl = ku = 35);
+    # tracemalloc counts numpy's data buffers
+    spec = CavitySpec(0.300, h=0.02, variant="open", cap_strength=1.0)
+    op = assemble_helmholtz(build_ellipse_grid(spec), spec)
+    op.geometry.parity_basis  # cached on the geometry, not the reduction's
+    shift = 8.015 ** 2
+    red, peak = _traced_peak(parity_reduce, op)
+    # the result's sort and symmetry check take about 100 B per entry of A
+    # and one contribution per entry of a representative row about 90 B;
+    # the 4 nnz contributions of every row would take about 4x that
+    assert peak <= 200 * op.rows.size
+    lu, peak = _traced_peak(lu_factor, red, shift)
+    kl, ku = red.bandwidths()
+    band = lu._T.shape[0] * (2 * kl + ku + 1) * lu._T.itemsize
+    # one band at a time beside the L panels and U blocks (or U's
+    # inversion temporary), plus index arrays and column-loop slices
+    assert peak <= band + lu._L.nbytes + lu._Uinv.nbytes + 2**20
+    monkeypatch.setattr(linalg, "lu_factor", lambda A, s: lu)
+    _, peak = _traced_peak(shift_invert_eigs, red, shift, 2)
+    # K + 1 = 9 basis rows, a Gram-Schmidt product of as many, the few
+    # vectors of a solve and a residual, and the (cap + 1) x cap Hessenberg
+    assert peak <= 40 * 16 * red.n + 201 * 200 * 16
+
+
 def test_src_never_names_numpy_linalg():
     # the package solves everything itself; numpy.linalg is a test oracle only
     src = Path(__file__).resolve().parent.parent / "src"
@@ -535,7 +581,11 @@ def test_src_never_names_numpy_linalg():
     assert hits == []
 
 
-_DENSE_CALLS = {"dot", "matmul", "einsum", "tensordot", "vdot", "inner"}
+# correlate and convolve use the dtype's BLAS-backed dot, cov and corrcoef
+# call dot, and polyfit calls lstsq
+_DENSE_CALLS = {"dot", "matmul", "einsum", "tensordot", "vdot", "inner",
+                "convolve", "correlate", "cov", "corrcoef", "polyfit",
+                "vecdot", "matvec", "vecmat"}
 _DENSE_MODULES = ("numpy.linalg", "numpy.fft")
 
 
@@ -576,9 +626,13 @@ def test_src_uses_no_dense_linear_algebra():
                         "y = a @ b\nz = np.einsum('i,i', a, b)\n"
                         "w = numpy.linalg.norm(a)\nv = a.dot(b)\n"
                         "from numpy.linalg import eig\nu = np.outer(a, b)\n"
-                        "from . import linalg\n")
+                        "from . import linalg\n"
+                        "t = np.convolve(a, b)\nt = np.correlate(a, b)\n"
+                        "t = np.cov(a)\nt = np.corrcoef(a, b)\n"
+                        "t = np.polyfit(x, y, 2)\nt = np.vecdot(a, b)\n"
+                        "t = np.matvec(m, a)\nt = np.vecmat(a, m)\n")
     assert sorted(line for line, _ in _dense_linear_algebra(planted)) == [
-        1, 2, 3, 4, 5, 6, 7]
+        1, 2, 3, 4, 5, 6, 7, *range(10, 18)]
 
 
 def _open_calls(tree):

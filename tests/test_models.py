@@ -348,6 +348,26 @@ class TestParityBasis:
             sector[block[s, weight[s] != 0.0]] = s
         assert np.array_equal(sector[red.rows], sector[red.cols])
 
+    @pytest.mark.parametrize("h", [0.1, 0.05])
+    @pytest.mark.parametrize("eps", [0.0, 0.13, 0.28])
+    @pytest.mark.parametrize("eta", [0.0, 1.0, 8.0])
+    def test_representative_rows_reduce_bit_for_bit(self, eps, h, eta):
+        # reference: every entry of A in every sector, summed term by term
+        op = _cavity(eps, h, eta)
+        n = op.n
+        block, weight = op.geometry.parity_basis
+        w = weight[:, op.rows] * weight[:, op.cols]
+        keep = w != 0.0
+        keys = (block[:, op.rows] * n + block[:, op.cols])[keep]
+        uniq, inv = np.unique(keys, return_inverse=True)
+        vals = np.zeros(uniq.size, dtype=np.complex128)
+        np.add.at(vals, inv, (w * op.vals[None, :])[keep])
+        want = SparseOperator(n, uniq // n, uniq % n, vals, symmetric=True)
+        red = parity_reduce(op)
+        assert np.array_equal(red.rows, want.rows)
+        assert np.array_equal(red.cols, want.cols)
+        assert red.vals.tobytes() == want.vals.tobytes()
+
     def test_asymmetric_operator_rejected(self):
         op = _cavity(0.1, 0.1, 8.0)
         # one ulp on one diagonal entry: the check has no tolerance
