@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass, field
 
-from .models import Mode, neighbor_view
+from .models import Mode
 
 NODE_CUTOFF = 1e-12  # default for extract_phases
 
@@ -168,25 +168,19 @@ def lobe_imbalance(phi: np.ndarray, weights: np.ndarray) -> float:
 def current_field(m: Mode) -> CurrentField:
     """Probability current j = Im(psi* grad psi) on the interior points.
 
-    Central differences where both neighbors are interior, one-sided at mask
-    edges, zero where a direction has no interior neighbor at all.
+    Central differences where both of the geometry's `neighbors` are
+    interior, one-sided at mask edges, zero where a direction has none.
     """
     g = m.geometry
     if g is None:
         raise ValueError("current is defined on grid modes only")
-    G = g.embed(m.psi)
-    mask = g.interior_mask
-    h = g.h
-    center = m.psi
+    h, center, nb = g.h, m.psi, g.neighbors
     out = []
-    for dx, dy in ((1, 0), (0, 1)):
-        fwd = neighbor_view(mask, dx, dy, False)[mask]
-        bwd = neighbor_view(mask, -dx, -dy, False)[mask]
-        vf = neighbor_view(G, dx, dy, 0.0)[mask]
-        vb = neighbor_view(G, -dx, -dy, 0.0)[mask]
+    for f, b in ((nb[1, 0], nb[-1, 0]), (nb[0, 1], nb[0, -1])):
+        vf, vb = center[f], center[b]  # index -1 is never selected below
         grad = np.where(
-            fwd & bwd, (vf - vb) / (2.0 * h),
-            np.where(fwd, (vf - center) / h,
-                     np.where(bwd, (center - vb) / h, 0.0)))
+            (f >= 0) & (b >= 0), (vf - vb) / (2.0 * h),
+            np.where(f >= 0, (vf - center) / h,
+                     np.where(b >= 0, (center - vb) / h, 0.0)))
         out.append((np.conj(center) * grad).imag)
     return CurrentField(out[0], out[1], h)

@@ -302,8 +302,10 @@ def lu_factor(A: SparseOperator, shift: complex = 0.0) -> Factorization:
         b = min(R, max(a + 1, (a * w + kl) // W))
         T.reshape(-1)[a * W:b * W].reshape(b - a, W)[:] = T[a:b, kl:kl + W]
         a = b
-    del L, T
-    buf.resize(nL + R * W + nU)  # U's blocks go behind the kept band
+    del L, T  # with S and Sj deleted above, no view of buf is left
+    # refcheck=False: under a profiler or tracer the bound method holds one
+    # more reference to buf, which numpy's check cannot tell from a view
+    buf.resize(nL + R * W + nU, refcheck=False)  # U's blocks behind the band
     L = buf[:nL].reshape(nb, nl, B + kl, B)
     T = buf[nL:nL + R * W].reshape(R, W)
     U = buf[nL + R * W:].reshape(nb, nl, B, B)

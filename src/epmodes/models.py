@@ -92,6 +92,10 @@ class GridGeometry:
     int64 per point) is the cross-grid identity that lets a sweep compare
     modes across deformation without interpolation.
 
+    `neighbors`, the one lattice adjacency, is built on first use: for each
+    stencil arm (dx, dy) it holds every point's neighbour index, -1 where
+    that lattice point lies outside the ellipse. `cap_profile` is per point.
+
     The anchoring is load-bearing: coordinates negate exactly, so the grid
     and its operators are bitwise mirror symmetric (see `parity_basis`).
     """
@@ -129,15 +133,19 @@ class GridGeometry:
         rho = np.sqrt((self.pt_x / a) ** 2 + (self.pt_y / b) ** 2)
         d = np.where(rho > 1e-15, r * (1.0 - rho) / np.where(rho > 1e-15, rho, 1.0), b)
         d0 = spec.cap_width
-        w = np.where(d < d0, ((d0 - d) / d0) ** 2, 0.0)
-        self.cap_profile = np.zeros((self.nx, self.ny))
-        self.cap_profile[self.interior_mask] = w
+        self.cap_profile = np.where(d < d0, ((d0 - d) / d0) ** 2, 0.0)
 
     @cached_property
     def lattice_key(self) -> np.ndarray:
         # built on first use: only tracking across grids reads it
         return (self.ix_min + self.pt_ix.astype(np.int64)) * 2**32 \
             + (self.iy_min + self.pt_iy)  # ascending while |y| < 2^31
+
+    @cached_property
+    def neighbors(self) -> dict[tuple[int, int], np.ndarray]:
+        pad = np.pad(self.index_of, 1, constant_values=-1)
+        return {(dx, dy): pad[self.pt_ix + 1 + dx, self.pt_iy + 1 + dy]
+                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))}
 
     @cached_property
     def parity_basis(self) -> tuple[np.ndarray, np.ndarray]:
@@ -156,12 +164,6 @@ class GridGeometry:
         scale = 1.0 / np.sqrt((1.0 + (X != 0)) * (1.0 + (Y != 0)))
         return (np.where(member, col[:, rep], 0),
                 np.where(member, chi * scale, 0.0))
-
-    def embed(self, values: np.ndarray) -> np.ndarray:
-        """Scatter per-point values onto the full grid, zero outside."""
-        g = np.zeros((self.nx, self.ny), dtype=values.dtype)
-        g[self.interior_mask] = values
-        return g
 
 
 @dataclass
@@ -213,15 +215,6 @@ class CavityOperator(SparseOperator):
         self.geometry = geometry
 
 
-def neighbor_view(arr: np.ndarray, dx: int, dy: int, fill) -> np.ndarray:
-    """out[i, j] = arr[i + dx, j + dy], `fill` past the edges (no wrap)."""
-    out = np.full_like(arr, fill)
-    nx, ny = arr.shape
-    out[max(0, -dx):nx + min(0, -dx), max(0, -dy):ny + min(0, -dy)] = \
-        arr[max(0, dx):nx + min(0, dx), max(0, dy):ny + min(0, dy)]
-    return out
-
-
 def assemble_helmholtz(geom: GridGeometry, spec: CavitySpec) -> CavityOperator:
     """5-point -laplacian/h^2 on interior points, second-order Dirichlet wall.
 
@@ -232,17 +225,15 @@ def assemble_helmholtz(geom: GridGeometry, spec: CavitySpec) -> CavityOperator:
     Cheng & Kang, J. Comput. Phys. 176 (2002) 205); only the diagonal moves,
     so symmetry is kept. The open variant subtracts i*eta*W on the diagonal.
     Both variants are complex symmetric; the closed one is real symmetric.
-    `spec` must equal `geom.spec`: the mask and absorber come from the grid.
+    `spec` must equal `geom.spec`: `neighbors` and W come from the grid.
     """
     if spec != geom.spec:
         raise ValueError("spec differs from the spec geom was built from")
     h = geom.h
     h2 = h * h
     a, b = spec.semi_axes
-    mask = geom.interior_mask
-    idx = geom.index_of
-    rows = [idx[mask]]
-    cols = [idx[mask]]
+    own = np.arange(geom.npts)
+    rows, cols = [own], [own]
     # wall coordinates on the point's own row and column
     x_wall = a * np.sqrt(1.0 - (geom.pt_y / b) ** 2)
     y_wall = b * np.sqrt(1.0 - (geom.pt_x / a) ** 2)
@@ -251,15 +242,15 @@ def assemble_helmholtz(geom: GridGeometry, spec: CavitySpec) -> CavityOperator:
     diag = np.full(geom.npts, 4.0 / h2)
     vals = []
     for (dx, dy), arm in arms.items():
-        inside = neighbor_view(mask, dx, dy, False)
+        nb = geom.neighbors[dx, dy]
+        inside = nb >= 0
         theta = np.clip(arm / h, _THETA_MIN, 1.0)
-        diag += np.where(inside[mask], 0.0, 1.0 / theta - 1.0) / h2
-        both = mask & inside
-        rows.append(idx[both])
-        cols.append(neighbor_view(idx, dx, dy, -1)[both])
-        vals.append(np.full(int(both.sum()), -1.0 / h2))
+        diag += np.where(inside, 0.0, 1.0 / theta - 1.0) / h2
+        rows.append(own[inside])
+        cols.append(nb[inside])
+        vals.append(np.full(int(inside.sum()), -1.0 / h2))
     if spec.variant == "open" and spec.cap_strength > 0.0:
-        diag = diag - 1j * spec.cap_strength * geom.cap_profile[mask]
+        diag = diag - 1j * spec.cap_strength * geom.cap_profile
     return CavityOperator(geom, np.concatenate(rows), np.concatenate(cols),
                           np.concatenate([diag] + vals))
 

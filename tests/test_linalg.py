@@ -9,6 +9,7 @@ import ast
 import cmath
 import inspect
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -16,8 +17,10 @@ import numpy as np
 import pytest
 
 from epmodes import linalg
+from epmodes.io import write_sweep_csv
 from epmodes.models import (
     CavitySpec, assemble_helmholtz, build_ellipse_grid, parity_reduce)
+from epmodes.sweep import SweepConfig, run_sweep
 from epmodes.linalg import (
     SparseOperator,
     lu_factor,
@@ -569,6 +572,45 @@ def test_cavity_solve_allocates_only_what_it_keeps(monkeypatch):
     assert peak <= 40 * 16 * red.n + 201 * 200 * 16
 
 
+def _hook(frame, event, arg):
+    return _hook
+
+
+def _under(setter, f, *args):
+    """f(*args) with a profile or trace hook set, the old hook restored."""
+    getter = sys.getprofile if setter is sys.setprofile else sys.gettrace
+    old = getter()
+    setter(_hook)
+    try:
+        return f(*args)
+    finally:
+        setter(old)
+
+
+@pytest.mark.parametrize("setter", [sys.setprofile, sys.settrace],
+                         ids=["setprofile", "settrace"])
+def test_factor_is_the_same_under_a_profiler(setter):
+    # a profiler or tracer holds the bound buf.resize, one more reference
+    # to the factor's buffer: the shrink must not count it as a view
+    spec = CavitySpec(0.300, h=0.02, variant="open", cap_strength=1.0)
+    red = parity_reduce(assemble_helmholtz(build_ellipse_grid(spec), spec))
+    want = lu_factor(red, 8.015 ** 2)
+    got = _under(setter, lu_factor, red, 8.015 ** 2)
+    for name in ("_T", "_L", "_Uinv", "_perm"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+@pytest.mark.parametrize("setter", [sys.setprofile, sys.settrace],
+                         ids=["setprofile", "settrace"])
+def test_sweep_csv_is_the_same_under_a_profiler(setter, tmp_path):
+    cfg = SweepConfig("cavity", [0.10, 0.11], m=2, h=0.1, k_target=2.5)
+    write_sweep_csv(run_sweep(cfg), tmp_path / "plain.csv", False)
+    write_sweep_csv(_under(setter, run_sweep, cfg), tmp_path / "hooked.csv",
+                    False)
+    assert (tmp_path / "hooked.csv").read_bytes() \
+        == (tmp_path / "plain.csv").read_bytes()
+
+
 def test_src_never_names_numpy_linalg():
     # the package solves everything itself; numpy.linalg is a test oracle only
     src = Path(__file__).resolve().parent.parent / "src"
@@ -693,15 +735,23 @@ def test_src_never_imports_private_sibling_names():
     assert hits == []
 
 
-def test_only_models_reads_lattice_indices():
-    # array indices and box corners shift with the bounding box; any other
-    # module wanting point identity across grids uses lattice_key
-    pkg = Path(__file__).resolve().parent.parent / "src" / "epmodes"
-    private = {"pt_ix", "pt_iy", "ix_min", "iy_min"}
-    hits = [f"{path.name}:{node.lineno} {node.attr}"
-            for path in sorted(pkg.glob("*.py")) if path.name != "models.py"
-            for node in ast.walk(ast.parse(path.read_text()))
+def _lattice_reads(tree):
+    private = {"pt_ix", "pt_iy", "ix_min", "iy_min", "interior_mask",
+               "index_of"}
+    return [(node.lineno, node.attr) for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr in private]
+
+
+def test_only_models_reads_lattice_indices():
+    # array indices, box corners and full-grid arrays shift with the
+    # bounding box; any other module wanting point identity across grids
+    # uses lattice_key, and a stencil reads the per-point neighbors table
+    planted = ast.parse("def f(m):\n    return m.psi[m.geometry.index_of]\n")
+    assert _lattice_reads(planted) == [(2, "index_of")]
+    pkg = Path(__file__).resolve().parent.parent / "src" / "epmodes"
+    hits = [f"{path.name}:{line} {attr}"
+            for path in sorted(pkg.glob("*.py")) if path.name != "models.py"
+            for line, attr in _lattice_reads(ast.parse(path.read_text()))]
     assert hits == []
 
 

@@ -11,8 +11,10 @@ import cmath
 import numpy as np
 import pytest
 
+from epmodes.circstats import current_field
 from epmodes.linalg import SparseOperator, shift_invert_eigs
 from epmodes.models import (
+    _THETA_MIN,
     TwoLevelParams,
     CavitySpec,
     GridTooCoarse,
@@ -23,7 +25,6 @@ from epmodes.models import (
     assemble_helmholtz,
     parity_reduce,
     solve_cavity_modes,
-    neighbor_view,
     CavityOperator,
 )
 
@@ -120,10 +121,11 @@ class TestGrid:
         s = CavitySpec(epsilon=0.1, mean_radius=1.0, h=0.02, variant="open",
                        cap_strength=5.0, cap_width=0.2)
         g = build_ellipse_grid(s)
-        w = g.cap_profile[g.interior_mask]
+        w = g.cap_profile
+        assert w.shape == (g.npts,)
         assert np.all(w >= 0.0) and np.all(w <= 1.0)
         # center is far from the rim, rim band is absorbing
-        assert g.cap_profile[g.index_of >= 0].max() > 0.0
+        assert w.max() > 0.0
         ic = np.where((g.pt_x == 0.0) & (g.pt_y == 0.0))[0]
         assert w[ic].item() == 0.0
 
@@ -139,12 +141,25 @@ class TestGrid:
         i2 = 5 - g2.ix_min
         assert g1.xs[i1] == g2.xs[i2]
 
-    def test_neighbor_view(self):
-        a = np.arange(6).reshape(2, 3)
-        right = neighbor_view(a, 1, 0, -1)
-        assert right[0, 0] == 3 and np.all(right[1] == -1)
-        up = neighbor_view(a, 0, 1, -1)
-        assert up[0, 0] == 1 and up[0, 2] == -1
+    @pytest.mark.parametrize("h", [0.1, 0.05])
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    def test_neighbors_match_the_lattice(self, eps, h):
+        s = CavitySpec(epsilon=eps, mean_radius=1.0, h=h)
+        g = build_ellipse_grid(s)
+        a, b = s.semi_axes
+        X, Y = np.rint(g.pt_x / h), np.rint(g.pt_y / h)  # lattice coordinates
+        assert sorted(g.neighbors) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+        for (dx, dy), nb in g.neighbors.items():
+            assert nb.dtype == np.int64 and nb.shape == (g.npts,)
+            # -1 exactly where the geometry's own test rejects the neighbour
+            x, y = (X + dx) * h, (Y + dy) * h
+            assert np.array_equal(nb == -1, ~((x / a) ** 2 + (y / b) ** 2 < 1))
+            on = np.flatnonzero(nb >= 0)
+            assert np.array_equal(X[nb[on]] - X[on], np.full(on.size, dx))
+            assert np.array_equal(Y[nb[on]] - Y[on], np.full(on.size, dy))
+            assert np.abs(g.pt_x[nb[on]] - g.pt_x[on] - dx * h).max() <= 1e-15
+            assert np.abs(g.pt_y[nb[on]] - g.pt_y[on] - dy * h).max() <= 1e-15
+            assert np.array_equal(g.neighbors[-dx, -dy][nb[on]], on)
 
 
 class TestAssembly:
@@ -185,6 +200,88 @@ class TestAssembly:
                           cap_strength=1.0, cap_width=0.4)
         assert np.array_equal(assemble_helmholtz(g, same).vals,
                               assemble_helmholtz(g, s).vals)
+
+
+def _shifted(arr, dx, dy, fill):
+    """out[i, j] = arr[i + dx, j + dy], `fill` past the edges: the whole-grid
+    shift both stencils used before the geometry had a neighbors table."""
+    out = np.full_like(arr, fill)
+    nx, ny = arr.shape
+    out[max(0, -dx):nx + min(0, -dx), max(0, -dy):ny + min(0, -dy)] = \
+        arr[max(0, dx):nx + min(0, dx), max(0, dy):ny + min(0, dy)]
+    return out
+
+
+def _full_grid_helmholtz(g, spec):
+    """assemble_helmholtz built from whole-grid shifts of the mask."""
+    h2 = g.h * g.h
+    a, b = spec.semi_axes
+    mask, idx = g.interior_mask, g.index_of
+    rows, cols = [idx[mask]], [idx[mask]]
+    x_wall = a * np.sqrt(1.0 - (g.pt_y / b) ** 2)
+    y_wall = b * np.sqrt(1.0 - (g.pt_x / a) ** 2)
+    arms = {(1, 0): x_wall - g.pt_x, (-1, 0): x_wall + g.pt_x,
+            (0, 1): y_wall - g.pt_y, (0, -1): y_wall + g.pt_y}
+    diag = np.full(g.npts, 4.0 / h2)
+    vals = []
+    for (dx, dy), arm in arms.items():
+        inside = _shifted(mask, dx, dy, False)
+        theta = np.clip(arm / g.h, _THETA_MIN, 1.0)
+        diag += np.where(inside[mask], 0.0, 1.0 / theta - 1.0) / h2
+        both = mask & inside
+        rows.append(idx[both])
+        cols.append(_shifted(idx, dx, dy, -1)[both])
+        vals.append(np.full(int(both.sum()), -1.0 / h2))
+    if spec.variant == "open" and spec.cap_strength > 0.0:
+        diag = diag - 1j * spec.cap_strength * g.cap_profile
+    return SparseOperator(g.npts, np.concatenate(rows), np.concatenate(cols),
+                          np.concatenate([diag] + vals), symmetric=True)
+
+
+def _full_grid_current(m):
+    """current_field from psi scattered onto the box and shifted whole."""
+    g = m.geometry
+    mask = g.interior_mask
+    G = np.zeros((g.nx, g.ny), dtype=m.psi.dtype)
+    G[mask] = m.psi
+    out = []
+    for dx, dy in ((1, 0), (0, 1)):
+        fwd = _shifted(mask, dx, dy, False)[mask]
+        bwd = _shifted(mask, -dx, -dy, False)[mask]
+        vf = _shifted(G, dx, dy, 0.0)[mask]
+        vb = _shifted(G, -dx, -dy, 0.0)[mask]
+        grad = np.where(
+            fwd & bwd, (vf - vb) / (2.0 * g.h),
+            np.where(fwd, (vf - m.psi) / g.h,
+                     np.where(bwd, (m.psi - vb) / g.h, 0.0)))
+        out.append((np.conj(m.psi) * grad).imag)
+    return out
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05])
+@pytest.mark.parametrize("eps", [0.0, 0.13, 0.3])
+@pytest.mark.parametrize("eta", [0.0, 1.0, 8.0])
+class TestNeighborsMatchFullGridShifts:
+    """The per-point neighbors table gives the same bytes as the whole-grid
+    shifts it replaced, in the stencil and in the current."""
+
+    def test_helmholtz(self, eps, h, eta):
+        op = _cavity(eps, h, eta)
+        want = _full_grid_helmholtz(op.geometry, op.geometry.spec)
+        assert np.array_equal(op.rows, want.rows)
+        assert np.array_equal(op.cols, want.cols)
+        assert op.vals.tobytes() == want.vals.tobytes()
+
+    def test_current(self, eps, h, eta):
+        g = _cavity(eps, h, eta).geometry
+        rng = np.random.default_rng(5)
+        raw = rng.standard_normal(g.npts) + 1j * rng.standard_normal(g.npts)
+        m = Mode(g, raw / (np.sqrt((np.abs(raw) ** 2).sum()) * g.h), 1.0,
+                 "cavity_open")
+        j = current_field(m)
+        jx, jy = _full_grid_current(m)
+        assert j.jx.tobytes() == jx.tobytes()
+        assert j.jy.tobytes() == jy.tobytes()
 
 
 @pytest.fixture(scope="module")
