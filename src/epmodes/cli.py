@@ -9,8 +9,9 @@ Subcommands cover the full pipeline and its pieces:
   selftest  run the built-in identity battery
 
 Exit codes: 0 success, 2 bad config or arguments, 3 solver or numeric
-failure (every grid point failed, or the selftest battery found a broken
-identity), 4 I/O failure.
+failure (every grid point failed, any other fault inside a command that is
+not bad input, or the selftest battery found a broken identity), 4 I/O
+failure.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .io import (SVG_FIELDS, ParseError, ValidationError, float_list,
                  read_sweep_csv, read_text, split_list, write_mode_file,
                  write_sweep_csv)
 from .linalg import norm
-from .models import Mode
+from .models import InvalidSetting, Mode
 from .nonorth import phase_rigidity_cs, petermann
 from .sweep import (SweepRecord, check_analysis, check_fields,
                     mode_diagnostics, run_sweep, solve_points)
@@ -234,9 +235,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, ValueError) as exc:
+    except (ParseError, ValidationError, InvalidSetting) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # not bad input: a fault inside the command
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -351,17 +351,19 @@ def read_sweep_csv(path) -> list:
         if mode == -1:
             records.append(SweepRecord(param, [], error or "error"))
             continue
-        if mode == 0:
-            records.append(SweepRecord(param, [row],
+        modes = [row]
+        if mode != 0:
+            prev = records.pop() if records else None
+            if prev is None or prev.error is not None \
+                    or prev.parameter != param or len(prev.modes) != mode:
+                raise ParseError(ln, f"mode {mode} does not continue a record")
+            # a new record, so its K * R2^2 check sees the added row too
+            modes, ambiguous = prev.modes + modes, prev.track_ambiguous
+        try:
+            records.append(SweepRecord(param, modes,
                                        track_ambiguous=ambiguous))
-            continue
-        prev = records[-1] if records else None
-        if prev is None or prev.error is not None \
-                or prev.parameter != param or len(prev.modes) != mode:
-            raise ParseError(ln, f"mode {mode} does not continue a record")
-        # a new record, so its K * R2^2 check sees the added row too
-        records[-1] = SweepRecord(param, prev.modes + [row],
-                                  track_ambiguous=prev.track_ambiguous)
+        except ValueError as exc:  # the row breaks K * R2^2 = 1
+            raise ParseError(ln, str(exc)) from None
     return records
 
 

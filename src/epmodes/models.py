@@ -301,6 +301,8 @@ def solve_cavity_modes(op: CavityOperator, k_target: float, m: int
         raise ValueError("k_target must be positive")
     if not isinstance(op, CavityOperator):
         raise ValueError("operator lacks geometry; use assemble_helmholtz")
+    if m > op.n:  # a config's m, checkable only once the grid is built
+        raise InvalidSetting("m", "m exceeds operator dimension")
     geom = op.geometry
     shift = k_target * k_target
     pairs = shift_invert_eigs(parity_reduce(op), shift, m)

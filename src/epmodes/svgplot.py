@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 from .io import write_text
+from .models import InvalidSetting
 from .sweep import field_series
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -21,14 +22,10 @@ _WIDTH, _HEIGHT = 760.0, 440.0
 _ML, _MR, _MT, _MB = 64.0, 64.0, 28.0, 46.0
 
 
-def _finite(values):
-    return [v for v in values if math.isfinite(v)]
-
-
 def _axis_range(values):
     lo, hi = min(values), max(values)
-    if hi == lo:
-        pad = 1.0 if lo == 0.0 else abs(lo) * 0.1
+    if hi == lo:  # 1.0 also where a tenth of a subnormal rounds to 0
+        pad = abs(lo) * 0.1 or 1.0
         return lo - pad, hi + pad
     pad = (hi - lo) * 0.06
     return lo - pad, hi + pad
@@ -46,31 +43,25 @@ def emit_svg(records, fields, path, marker=None):
     break the polyline rather than being clipped to the frame.
     """
     if not fields:
-        raise ValueError("no fields to plot")
+        raise InvalidSetting("fields", "no fields to plot")
     if not records:
-        raise ValueError("no records to plot")
+        raise InvalidSetting("records", "no records to plot")
     n_modes = max((len(r.modes) for r in records), default=0)
     if n_modes == 0:
-        raise ValueError("no mode rows to plot")
+        raise InvalidSetting("records", "no mode rows to plot")
     params = [r.parameter for r in records]
+    # (legend label, y axis: 0 left or 1 right, values) per (field, mode)
+    series = [(f"{f} (mode {mi})", int(f != fields[0]),
+               field_series(records, f, mi)[1])
+              for f in fields for mi in range(n_modes)]
 
-    series = {}
-    for field in fields:
-        for mi in range(n_modes):
-            series[(field, mi)] = field_series(records, field, mi)[1]
-
-    left_vals = _finite([v for (f, _), ys in series.items() if f == fields[0]
-                         for v in ys])
-    if not left_vals:
-        raise ValueError(f"field '{fields[0]}' has no finite values")
-    y_left = _axis_range(left_vals)
-    y_right = None
-    if len(fields) > 1:
-        right_vals = _finite([v for (f, _), ys in series.items()
-                              if f != fields[0] for v in ys])
-        if not right_vals:
-            raise ValueError(f"field '{fields[1]}' has no finite values")
-        y_right = _axis_range(right_vals)
+    y_ranges = []
+    for axis, name in enumerate(fields[:2]):
+        vals = [v for _, a, ys in series if a == axis
+                for v in ys if math.isfinite(v)]
+        if not vals:
+            raise InvalidSetting(name, f"field '{name}' has no finite values")
+        y_ranges.append(_axis_range(vals))
 
     x_lo, x_hi = _axis_range(params)
     px_w = _WIDTH - _ML - _MR
@@ -96,20 +87,16 @@ def emit_svg(records, fields, path, marker=None):
                    f'stroke="#444"/>')
         out.append(f'<text x="{px:.2f}" y="{_MT + px_h + 18:.2f}" '
                    f'font-size="11" text-anchor="middle">{x:.4g}</text>')
-    for y in _ticks(*y_left):
-        py = sy(y, y_left)
-        out.append(f'<line x1="{_ML - 5:.2f}" y1="{py:.2f}" '
-                   f'x2="{_ML:.2f}" y2="{py:.2f}" stroke="#444"/>')
-        out.append(f'<text x="{_ML - 8:.2f}" y="{py + 4:.2f}" '
-                   f'font-size="11" text-anchor="end">{y:.4g}</text>')
-    if y_right is not None:
-        for y in _ticks(*y_right):
-            py = sy(y, y_right)
-            out.append(f'<line x1="{_ML + px_w:.2f}" y1="{py:.2f}" '
-                       f'x2="{_ML + px_w + 5:.2f}" y2="{py:.2f}" '
-                       f'stroke="#444"/>')
-            out.append(f'<text x="{_ML + px_w + 8:.2f}" y="{py + 4:.2f}" '
-                       f'font-size="11" text-anchor="start">{y:.4g}</text>')
+    # each y axis: its frame edge, the side its ticks point to, the anchor
+    for rng, edge, side, anchor in zip(y_ranges, (_ML, _ML + px_w), (-1, 1),
+                                       ("end", "start")):
+        x1, x2 = sorted((edge, edge + 5 * side))
+        for y in _ticks(*rng):
+            py = sy(y, rng)
+            out.append(f'<line x1="{x1:.2f}" y1="{py:.2f}" '
+                       f'x2="{x2:.2f}" y2="{py:.2f}" stroke="#444"/>')
+            out.append(f'<text x="{edge + 8 * side:.2f}" y="{py + 4:.2f}" '
+                       f'font-size="11" text-anchor="{anchor}">{y:.4g}</text>')
 
     if marker is not None and x_lo <= marker <= x_hi:
         px = sx(marker)
@@ -117,34 +104,23 @@ def emit_svg(records, fields, path, marker=None):
                    f'y2="{_MT + px_h:.2f}" stroke="#888" '
                    f'stroke-dasharray="2,4"/>')
 
-    color_idx = 0
     legend = []
-    for field in fields:
-        rng = y_left if field == fields[0] else y_right
-        dash = '' if field == fields[0] else ' stroke-dasharray="6,3"'
-        for mi in range(n_modes):
-            color = _PALETTE[color_idx % len(_PALETTE)]
-            color_idx += 1
-            segment = []
-            segments = []
-            for x, y in zip(params, series[(field, mi)]):
-                if math.isfinite(y):
-                    segment.append(f"{sx(x):.2f},{sy(y, rng):.2f}")
-                elif segment:
-                    segments.append(segment)
-                    segment = []
-            if segment:
-                segments.append(segment)
-            for seg in segments:
-                if len(seg) < 2:
-                    continue
-                out.append(f'<polyline points="{" ".join(seg)}" fill="none" '
+    for i, (label, axis, ys) in enumerate(series):
+        color = _PALETTE[i % len(_PALETTE)]
+        dash = ' stroke-dasharray="6,3"' if axis else ''
+        run = []  # closed by a non-finite sample or the nan after the last
+        for x, y in zip(params + [math.nan], [*ys, math.nan]):
+            if math.isfinite(y):
+                run.append(f"{sx(x):.2f},{sy(y, y_ranges[axis]):.2f}")
+                continue
+            if len(run) > 1:  # a lone point draws no line
+                out.append(f'<polyline points="{" ".join(run)}" fill="none" '
                            f'stroke="{color}" stroke-width="1.5"{dash}/>')
-            legend.append((f"{field} (mode {mi})", color, bool(dash)))
+            run = []
+        legend.append((label, color, dash))
 
     ly = _MT + 14.0
-    for label, color, dashed in legend:
-        dash = ' stroke-dasharray="6,3"' if dashed else ''
+    for label, color, dash in legend:
         out.append(f'<line x1="{_ML + 10:.2f}" y1="{ly - 4:.2f}" '
                    f'x2="{_ML + 34:.2f}" y2="{ly - 4:.2f}" '
                    f'stroke="{color}" stroke-width="1.5"{dash}/>')

@@ -286,18 +286,19 @@ def _row_value(record: SweepRecord, field: str, mode_index: int) -> float:
         try:
             alpha = float(field[len("renyi_"):])
         except ValueError:
-            raise ValueError(f"unknown field '{field}'") from None
+            raise InvalidSetting(field, f"unknown field '{field}'") from None
         for key, val in row.renyi.items():
             if abs(key - alpha) < 1e-12:
                 return float(val)
-        raise ValueError(f"field '{field}': alpha missing from records")
+        raise InvalidSetting(field,
+                             f"field '{field}': alpha missing from records")
     if field == "renyi" or not hasattr(row, field):
-        raise ValueError(f"unknown field '{field}'")
+        raise InvalidSetting(field, f"unknown field '{field}'")
     return float(getattr(row, field))
 
 
 def check_fields(names, alphas) -> None:
-    """Raise the ValueError field_series raises for the first of `names` it
+    """Raise the InvalidSetting field_series raises for the first of `names` it
     rejects on records with Renyi orders `alphas`, before any are solved."""
     blank = SweepRecord(0.0, [ModeDiagnostics(**{
         f.name: dict.fromkeys(alphas, np.nan) if f.name == "renyi" else np.nan

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from epmodes import sweep
 from epmodes.cli import main
-from epmodes.io import read_mode_file, read_sweep_csv, write_sweep_csv
+from epmodes.io import (csv_columns, read_mode_file, read_sweep_csv,
+                        write_sweep_csv)
 from epmodes.models import TwoLevelParams, two_level_modes
 from epmodes.sweep import mode_diagnostics
 
@@ -168,6 +170,27 @@ class TestSweepCommand:
         assert "every grid point" in err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_m_beyond_the_grid_exit_code(self, tmp_path, capsys):
+        # m is checked against the point count once the grid is built
+        config = tmp_path / "pair.cfg"
+        config.write_text(PAIR_CONFIG)
+        assert main(["sweep", str(config), "-O", "model.h=0.1",
+                     "-O", "sweep.m=100000"]) == 2
+        assert "m exceeds operator dimension" in capsys.readouterr().err
+
+    def test_fault_inside_a_solve_exit_code(self, tmp_path, capsys,
+                                            monkeypatch):
+        # a ValueError from inside the solver is no config error
+        def broken(op, k_target, m):
+            raise ValueError("operator is not mirror symmetric")
+        monkeypatch.setattr(sweep, "solve_cavity_modes", broken)
+        config = tmp_path / "pair.cfg"
+        config.write_text(PAIR_CONFIG)
+        out = tmp_path / "out"
+        assert main(["sweep", str(config), "--out-dir", str(out)]) == 3
+        assert "mirror symmetric" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestSolveAndAnalyze:
     def test_solve_writes_mode_files(self, config_path, tmp_path):
@@ -313,6 +336,18 @@ class TestPlotCommand:
                      "--out", str(svg)]) == 2
         assert "--fields: empty item" in capsys.readouterr().err
         assert not svg.exists()
+
+    def test_plot_names_line_of_identity_break(self, csv_path, tmp_path,
+                                               capsys):
+        # K = 3 on the first data row (file line 2) breaks K * R2^2 = 1
+        lines = open(csv_path).read().splitlines()
+        cells = lines[1].split(",")
+        cells[csv_columns((1.0, 1.5, 2.0)).index("K")] = "3.0"
+        lines[1] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["plot", str(bad), "--out", str(tmp_path / "x.svg")]) == 2
+        assert "line 2: row violates K * R2^2 = 1" in capsys.readouterr().err
 
     def test_plot_missing_csv(self, tmp_path):
         assert main(["plot", str(tmp_path / "no.csv"),

@@ -1,7 +1,10 @@
 """Config grammar, sweep CSV serialization, mode files, and SVG output."""
 
 import dataclasses
+import hashlib
+import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,7 @@ from epmodes.models import CavitySpec, Mode, assemble_helmholtz, \
     build_ellipse_grid, solve_cavity_modes, two_level_modes, TwoLevelParams
 from epmodes.sweep import (ModeDiagnostics, SweepConfig, SweepRecord,
                            mode_diagnostics, run_sweep)
-from epmodes.svgplot import emit_svg
+from epmodes.svgplot import _PALETTE, emit_svg
 
 
 BASE = """
@@ -387,8 +390,23 @@ class TestSweepCsv:
         cells[csv_columns((1.0, 1.5, 2.0)).index("K")] = "99.0"
         lines[2] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="K \\* R2"):
+        with pytest.raises(ParseError, match="K \\* R2") as err:
             read_sweep_csv(path)
+        assert err.value.line_number == 3
+
+    def test_identity_break_names_file_line(self, small_records, tmp_path):
+        # K = 3 on the first data row, file line 3 after the comment and the
+        # header, breaks K * R2^2 = 1
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(small_records, path, timestamp=True)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[csv_columns((1.0, 1.5, 2.0)).index("K")] = "3.0"
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_sweep_csv(path)
+        assert str(err.value) == "line 3: row violates K * R2^2 = 1"
 
     def test_bad_row_names_file_line_past_comment(self, small_records,
                                                   tmp_path):
@@ -788,3 +806,161 @@ class TestEmitSvg:
         path = tmp_path / "plot.svg"
         emit_svg(small_records, ("K",), path)
         assert "inf" not in path.read_text()
+
+
+DEMO_OUT = Path(__file__).resolve().parents[1] / "demos" / "out"
+
+
+def _plot_cases():
+    """(id, records, fields, marker) from the committed demo CSVs: failed
+    rows, a one-point finite run, 1 to 3 fields, constant series and
+    markers inside and outside the range."""
+    two = read_sweep_csv(DEMO_OUT / "two_level.csv")[::10]  # 41 points
+    failed = list(two)
+    for i in (5, 7, 20):  # leaves a one-point run at index 6
+        failed[i] = SweepRecord(two[i].parameter, [], "SingularShift: x")
+    pair = read_sweep_csv(DEMO_OUT / "open_pair.csv")
+    flat = [SweepRecord(r.parameter, [
+        dataclasses.replace(m, S_folded=0.0, chi_squared=0.5)
+        for m in r.modes]) for r in two[19:22]]
+    return [("two_one_field", two, ("S_folded",), None),
+            ("two_marker", two, ("S_folded", "R2"), 0.0),
+            ("two_three_fields", two, ("K", "S_folded", "R2"), 0.0),
+            ("failed_rows", failed, ("S_folded", "R2"), 0.0),
+            ("failed_marker_outside", failed, ("K",), 5.0),
+            ("open_pair", pair, ("R2", "K"), 0.3004),
+            ("open_three_fields", pair, ("R2", "K", "renyi_2"), None),
+            ("open_marker_outside", pair, ("K",), 0.1),
+            ("three_points", two[19:22], ("S_folded", "R2"), -0.05),
+            ("flat_zero", flat, ("S_folded",), None),
+            ("flat_both_axes", flat, ("S_folded", "chi_squared"), 0.0)]
+
+
+# SHA-256 of each case's SVG, as written before emit_svg drew both y axes
+# in one loop and each polyline in one pass
+PLOT_DIGESTS = {
+    "two_one_field":
+        "205af29a418ecf94f1c1d3563d14fcb01646aef0926d6f3dbf8cdee9087027ea",
+    "two_marker":
+        "ec3c3116a1f20f5f4bd296493148404abf1dbf6e0bfd78575dbad8f49daf4a77",
+    "two_three_fields":
+        "6953e369cbaf000b3c9ad9258bf96573c4391a93402f7ba89c6fa427f8e174e3",
+    "failed_rows":
+        "df86fb3de3167ba92ef2c2375fe6e22344a080597dfe4546a4f8b119e1462c03",
+    "failed_marker_outside":
+        "c7973a9200d6ef459e3347b928773fbcef5258ab220ff42c10e08febbcf6c840",
+    "open_pair":
+        "800d46145c2f3ecf2d9df8fec38b7477508ddcf3f804fd1e0ff24d5d8fbcc419",
+    "open_three_fields":
+        "3a5b2654438f134c3f293499b31966e7f3faab1a913af9675058a8d309c37efa",
+    "open_marker_outside":
+        "6f66c1c1efbea9647eb6c8765139186ca0b1f2af20383cd2279835d091de2d4c",
+    "three_points":
+        "265d92ed2e660e9f6a21689817b39cab7846f73348b1ddbe1a93084a9c801079",
+    "flat_zero":
+        "45f291d135154025047cecc40df5ef0038adffbdf1530ebd32b70a096c31dfe2",
+    "flat_both_axes":
+        "b39f077b97cb569061d58d71730315f422e5c4770781b1c6f4ef571ef4772d93"}
+
+
+def _svg_digest(records, fields, marker, path):
+    emit_svg(records, fields, path, marker=marker)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _finite_runs(values):
+    return [len(list(run)) for finite, run
+            in itertools.groupby(values, key=math.isfinite) if finite]
+
+
+_BASE_ROW = ModeDiagnostics(
+    re_eigenvalue=1.0, im_eigenvalue=0.0, R1=0.0, R2=0.5, r_abs=0.5, K=4.0,
+    S_folded=0.0, S_unfolded=0.0, S_value=0.0, uncertainty_sum=0.0,
+    renyi={1.0: 0.0}, chi_squared=0.0, degenerate_alignment=False)
+_GAPPY_FIELDS = ("S_folded", "chi_squared", "R1")
+
+
+@st.composite
+def _gappy_records(draw):
+    """Records with up to 3 modes, failed points and non-finite samples in
+    the fields `_GAPPY_FIELDS`; at least one record has a mode."""
+    value = st.sampled_from([math.nan, math.inf]) | st.floats(-10.0, 10.0)
+    records = []
+    for x in range(draw(st.integers(1, 9))):
+        n = draw(st.integers(0, 3))
+        rows = [dataclasses.replace(_BASE_ROW, **{
+            f: draw(value) for f in _GAPPY_FIELDS}) for _ in range(n)]
+        records.append(SweepRecord(float(x), rows,
+                                   None if rows else "SingularShift: x"))
+    if not any(r.modes for r in records):
+        records[0] = SweepRecord(0.0, [_BASE_ROW])
+    return records
+
+
+class TestPlotBytes:
+    # demo 01 marks the EP at delta = 0, demo 03 the epsilon where R2 is
+    # smallest
+    @pytest.mark.parametrize("name, fields, marker", [
+        ("two_level", ("S_folded", "R2"), 0.0),
+        ("open_pair", ("R2", "K"), 0.3004)])
+    def test_demo_plots_rebuild_byte_for_byte(self, tmp_path, name, fields,
+                                              marker):
+        records = read_sweep_csv(DEMO_OUT / f"{name}.csv")
+        path = tmp_path / f"{name}.svg"
+        emit_svg(records, fields, path, marker=marker)
+        assert path.read_bytes() == (DEMO_OUT / f"{name}.svg").read_bytes()
+
+    @pytest.mark.parametrize("value", [5e-324, -1e-323])
+    def test_subnormal_constant_has_a_finite_range(self, tmp_path, value):
+        # a tenth of a subnormal is 0: the flat range had zero width, and
+        # the axes divided by it
+        records = [SweepRecord(value, [dataclasses.replace(
+            _BASE_ROW, S_folded=value)]) for _ in range(2)]
+        path = tmp_path / "flat.svg"
+        emit_svg(records, ("S_folded",), path)
+        assert "nan" not in path.read_text()
+
+    def test_digest_matrix(self, tmp_path):
+        got = {case: _svg_digest(records, fields, marker, tmp_path / "x.svg")
+               for case, records, fields, marker in _plot_cases()}
+        assert got == PLOT_DIGESTS
+
+    @given(records=_gappy_records(),
+           fields=st.lists(st.sampled_from(_GAPPY_FIELDS), min_size=1,
+                           max_size=3, unique=True))
+    @settings(max_examples=80, deadline=None)
+    def test_one_polyline_per_finite_run(self, tmp_path_factory, records,
+                                         fields):
+        # each (field, mode) series, in field then mode order, draws one
+        # polyline per run of two or more finite samples and one legend
+        # entry; colours cycle through the palette in series order, and
+        # fields after the first are dashed
+        n_modes = max(len(r.modes) for r in records)
+        lines, legend, axis_finite = [], [], [False, False]
+        for i, (f, mi) in enumerate(itertools.product(fields,
+                                                      range(n_modes))):
+            values = [getattr(r.modes[mi], f) if mi < len(r.modes)
+                      else math.nan for r in records]
+            color, dashed = _PALETTE[i % len(_PALETTE)], f != fields[0]
+            runs = _finite_runs(values)
+            lines += [(color, dashed, k) for k in runs if k >= 2]
+            legend.append((f"{f} (mode {mi})", color, dashed))
+            axis_finite[dashed] |= bool(runs)
+        path = tmp_path_factory.getbasetemp() / "gappy.svg"
+        for axis, name in enumerate(fields[:2]):
+            if not axis_finite[axis]:
+                with pytest.raises(ValueError, match=f"'{name}' has no finite"):
+                    emit_svg(records, fields, path)
+                return
+        emit_svg(records, fields, path)
+        text = path.read_text()
+        drawn = re.findall(r'<polyline points="([^"]*)" fill="none" '
+                           r'stroke="(#\w{6})" stroke-width="1.5"'
+                           r'( stroke-dasharray="6,3")?/>', text)
+        assert [(c, bool(d), len(p.split())) for p, c, d in drawn] == lines
+        keys = re.findall(r'<line [^>]*stroke="(#\w{6})" stroke-width="1.5"'
+                          r'( stroke-dasharray="6,3")?/>', text)
+        labels = re.findall(r'font-size="11">([^<]*)</text>', text)
+        assert len(keys) == len(labels)
+        assert [(lab, c, bool(d)) for lab, (c, d) in zip(labels, keys)] \
+            == legend
