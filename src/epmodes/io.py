@@ -17,9 +17,11 @@ from io import StringIO
 
 import numpy as np
 
-from .models import (PROVENANCES, CavitySpec, InvalidSetting, Mode,
-                     build_ellipse_grid)
-from .sweep import ModeDiagnostics, SweepConfig, SweepRecord, anchored_grid
+from .models import (PROVENANCES, CavitySpec, GridTooCoarse, InvalidSetting,
+                     Mode, build_ellipse_grid)
+from .sweep import (SweepConfig, SweepRecord, anchored_grid, column_order,
+                    diagnostic_columns, diagnostic_values,
+                    diagnostics_from_values, record_orders)
 
 
 def read_text(path) -> str:
@@ -229,57 +231,14 @@ def parse_output_options(text: str, overrides=()) -> dict:
     return out
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _is_flag(f) -> bool:
-    return f.type in (bool, "bool")
-
-
 def _is_text(f) -> bool:
     return f.type in (str, "str")
 
 
 def csv_columns(alphas) -> list:
-    """parameter, mode, the ModeDiagnostics fields in their order (renyi as
-    one renyi_<alpha> column per order, ascending), track_ambiguous, error."""
-    cols = ["parameter", "mode"]
-    for f in fields(ModeDiagnostics):
-        if f.name == "renyi":
-            cols += [f"renyi_{a:g}" for a in sorted(alphas)]
-        else:
-            cols.append(f.name)
-    return cols + ["track_ambiguous", "error"]
-
-
-def _diagnostic_cells(row, alphas) -> list:
-    """A row's ModeDiagnostics cells in column order; a failed point
-    (row None) has nan for every number and 0 for every flag."""
-    cells = []
-    for f in fields(ModeDiagnostics):
-        if f.name == "renyi":
-            cells += [_fmt(row.renyi[a]) if row else "nan" for a in alphas]
-        elif _is_flag(f):
-            cells.append(int(getattr(row, f.name)) if row else 0)
-        else:
-            cells.append(_fmt(getattr(row, f.name)) if row else "nan")
-    return cells
-
-
-def _parse_diagnostics(cells, alphas) -> ModeDiagnostics:
-    it = iter(cells)
-    values = {}
-    for f in fields(ModeDiagnostics):
-        if f.name == "renyi":
-            values[f.name] = {a: float(next(it)) for a in alphas}
-        elif _is_flag(f):
-            values[f.name] = bool(int(next(it)))
-        else:
-            values[f.name] = float(next(it))
-    return ModeDiagnostics(**values)
+    """parameter, mode, the diagnostics columns, track_ambiguous, error."""
+    return ["parameter", "mode", *diagnostic_columns(alphas),
+            "track_ambiguous", "error"]
 
 
 def write_sweep_csv(records: list, path, timestamp: bool = True) -> None:
@@ -291,12 +250,7 @@ def write_sweep_csv(records: list, path, timestamp: bool = True) -> None:
     """
     if not records:
         raise ValueError("no records to write")
-    alphas = ()
-    for rec in records:
-        if rec.modes:
-            alphas = tuple(sorted(rec.modes[0].renyi))
-            break
-
+    alphas = record_orders(records)
     buf = StringIO()
     if timestamp:
         stamp = datetime.datetime.now(datetime.timezone.utc)
@@ -304,15 +258,12 @@ def write_sweep_csv(records: list, path, timestamp: bool = True) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(csv_columns(alphas))
     for rec in records:
-        if rec.error is not None:
-            writer.writerow([_fmt(rec.parameter), -1]
-                            + _diagnostic_cells(None, alphas)
-                            + [0, rec.error])
-            continue
-        for mi, row in enumerate(rec.modes):
-            writer.writerow([_fmt(rec.parameter), mi]
-                            + _diagnostic_cells(row, alphas)
-                            + [int(rec.track_ambiguous), ""])
+        failed = rec.error is not None
+        for mi, row in [(-1, None)] if failed else enumerate(rec.modes):
+            writer.writerow([repr(rec.parameter), mi,
+                             *map(repr, diagnostic_values(row, alphas)),
+                             int(rec.track_ambiguous and not failed),
+                             rec.error or ""])
     if hasattr(path, "write"):
         path.write(buf.getvalue())
     else:
@@ -333,8 +284,7 @@ def read_sweep_csv(path) -> list:
     if len(rows) < 2:
         raise ParseError(1, "CSV has no data rows")
     header_ln, header = rows[0]
-    alphas = [_float(name, name[len("renyi_"):]) for name in header
-              if name.startswith("renyi_")]
+    alphas = [a for a in map(column_order, header) if a is not None]
     if header != csv_columns(alphas):
         raise ParseError(header_ln, "unrecognized CSV header")
     records = []
@@ -344,7 +294,7 @@ def read_sweep_csv(path) -> list:
         param, mode, *diag, ambiguous, error = cells
         try:
             param, mode = float(param), int(mode)
-            row = None if mode == -1 else _parse_diagnostics(diag, alphas)
+            row = None if mode == -1 else diagnostics_from_values(diag, alphas)
             ambiguous = bool(int(ambiguous))
         except ValueError as exc:
             raise ParseError(ln, f"bad value: {exc}") from None
@@ -390,15 +340,15 @@ def write_mode_file(mode: Mode, path, parameter: float | None = None) -> None:
     lam = complex(mode.eigen_k)
     lines = ["EPMODE 1",
              f"provenance: {mode.provenance}",
-             f"parameter: {_fmt(float(parameter))}",
-             f"eigenvalue: {_fmt(lam.real)} {_fmt(lam.imag)}",
-             f"residual: {_fmt(float(mode.residual_norm))}",
+             f"parameter: {float(parameter)!r}",
+             f"eigenvalue: {lam.real!r} {lam.imag!r}",
+             f"residual: {float(mode.residual_norm)!r}",
              f"degenerate: {int(mode.degenerate)}",
              f"n: {mode.psi.size}"]
     if geo is not None:
         for f in fields(CavitySpec):
             v = getattr(geo.spec, f.name)
-            lines.append(f"{f.name}: {_fmt(v if _is_text(f) else float(v))}")
+            lines.append(f"{f.name}: {v if _is_text(f) else repr(float(v))}")
         xs, ys = _reprs(geo.pt_x), _reprs(geo.pt_y)
     else:
         xs = ys = ["0.0"] * mode.psi.size
@@ -468,9 +418,11 @@ def read_mode_file(path):
             spec = CavitySpec(**{f.name: value(f.name, str if _is_text(f)
                                                else float)
                                  for f in fields(CavitySpec)})
+            geometry = build_ellipse_grid(spec)
         except InvalidSetting as exc:
             raise ParseError(line_of[exc.field], str(exc)) from None
-        geometry = build_ellipse_grid(spec)
+        except GridTooCoarse as exc:  # too few points at this h
+            raise ParseError(line_of["h"], str(exc)) from None
         if geometry.npts != n:
             raise ParseError(line_of["n"], f"geometry yields "
                              f"{geometry.npts} points, file has {n}")

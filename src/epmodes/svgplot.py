@@ -22,12 +22,13 @@ _WIDTH, _HEIGHT = 760.0, 440.0
 _ML, _MR, _MT, _MB = 64.0, 64.0, 28.0, 46.0
 
 
-def _axis_range(values):
-    lo, hi = min(values), max(values)
-    if hi == lo:  # 1.0 also where a tenth of a subnormal rounds to 0
-        pad = abs(lo) * 0.1 or 1.0
-        return lo - pad, hi + pad
-    pad = (hi - lo) * 0.06
+def _axis_range(values, name):
+    """Padded (lo, hi) of values; InvalidSetting naming `name` on overflow."""
+    lo, hi = float(min(values)), float(max(values))  # inf, not a warning
+    # a flat series pads 1.0 also where a tenth of a subnormal rounds to 0
+    pad = (hi - lo) * 0.06 if hi != lo else abs(lo) * 0.1 or 1.0
+    if not math.isfinite((hi + pad) - (lo - pad)):
+        raise InvalidSetting(name, f"field '{name}' overflows its axis")
     return lo - pad, hi + pad
 
 
@@ -44,8 +45,6 @@ def emit_svg(records, fields, path, marker=None):
     """
     if not fields:
         raise InvalidSetting("fields", "no fields to plot")
-    if not records:
-        raise InvalidSetting("records", "no records to plot")
     n_modes = max((len(r.modes) for r in records), default=0)
     if n_modes == 0:
         raise InvalidSetting("records", "no mode rows to plot")
@@ -61,9 +60,9 @@ def emit_svg(records, fields, path, marker=None):
                 for v in ys if math.isfinite(v)]
         if not vals:
             raise InvalidSetting(name, f"field '{name}' has no finite values")
-        y_ranges.append(_axis_range(vals))
+        y_ranges.append(_axis_range(vals, name))
 
-    x_lo, x_hi = _axis_range(params)
+    x_lo, x_hi = _axis_range(params, "parameter")
     px_w = _WIDTH - _ML - _MR
     px_h = _HEIGHT - _MT - _MB
 

@@ -138,6 +138,63 @@ class ModeDiagnostics:
     degenerate_alignment: bool
 
 
+_RENYI = "renyi_"  # the one spelling of a Renyi column name's prefix
+
+
+def _columns(alphas):
+    """(name, field, Renyi order or None) of each diagnostics column in CSV
+    order: the fields as declared, renyi as one column per distinct order,
+    ascending, spelled :g where that reads back to the order exactly and
+    repr() elsewhere, so each name reads back to its own order."""
+    for f in fields(ModeDiagnostics):
+        if f.name != "renyi":
+            yield f.name, f, None
+            continue
+        for a in sorted(set(alphas)):
+            short = f"{a:g}"
+            yield _RENYI + (short if float(short) == a else repr(a)), f, a
+
+
+def diagnostic_columns(alphas) -> list:
+    """The diagnostics column names of rows with Renyi orders `alphas`."""
+    return [name for name, _, _ in _columns(alphas)]
+
+
+def diagnostic_values(row, alphas) -> list:
+    """`row`'s values in diagnostic_columns(alphas) order, a flag as 0 or 1;
+    a failed point (row None) has nan for every number and 0 for every
+    flag."""
+    if row is None:
+        return [0 if f.type == "bool" else np.nan
+                for _, f, _ in _columns(alphas)]
+    return [row.renyi[a] if a is not None else int(getattr(row, f.name))
+            if f.type == "bool" else getattr(row, f.name)
+            for _, f, a in _columns(alphas)]
+
+
+def diagnostics_from_values(values, alphas) -> ModeDiagnostics:
+    """The row whose diagnostic_values(row, alphas) are `values`, each read
+    with float() and a flag with int(), so CSV cells read as well."""
+    cols = [(f, a, bool(int(v)) if f.type == "bool" else float(v))
+            for (_, f, a), v in zip(_columns(alphas), values, strict=True)]
+    return ModeDiagnostics(
+        renyi={a: v for _, a, v in cols if a is not None},
+        **{f.name: v for f, a, v in cols if a is None})
+
+
+def column_order(name: str):
+    """The Renyi order a Renyi column name spells, or None."""
+    try:
+        return float(name[len(_RENYI):]) if name.startswith(_RENYI) else None
+    except ValueError:
+        return None
+
+
+def record_orders(records: list) -> tuple:
+    """The Renyi orders of the first record that has a mode, or ()."""
+    return next((tuple(r.modes[0].renyi) for r in records if r.modes), ())
+
+
 @dataclass(frozen=True)
 class SweepRecord:
     parameter: float
@@ -278,40 +335,34 @@ class PeakEntry:
     index: int
 
 
-def _row_value(record: SweepRecord, field: str, mode_index: int) -> float:
-    if record.error is not None or mode_index >= len(record.modes):
-        return float("nan")
-    row = record.modes[mode_index]
-    if field.startswith("renyi_"):
-        try:
-            alpha = float(field[len("renyi_"):])
-        except ValueError:
-            raise InvalidSetting(field, f"unknown field '{field}'") from None
-        for key, val in row.renyi.items():
-            if abs(key - alpha) < 1e-12:
-                return float(val)
-        raise InvalidSetting(field,
-                             f"field '{field}': alpha missing from records")
-    if field == "renyi" or not hasattr(row, field):
-        raise InvalidSetting(field, f"unknown field '{field}'")
-    return float(getattr(row, field))
-
-
-def check_fields(names, alphas) -> None:
-    """Raise the InvalidSetting field_series raises for the first of `names` it
-    rejects on records with Renyi orders `alphas`, before any are solved."""
-    blank = SweepRecord(0.0, [ModeDiagnostics(**{
-        f.name: dict.fromkeys(alphas, np.nan) if f.name == "renyi" else np.nan
-        for f in fields(ModeDiagnostics)})])
+def check_fields(names, alphas) -> list:
+    """The index in diagnostic_columns(alphas) of each of `names`: a column
+    name, or a Renyi name whose number lies within 1e-12 of an order. The
+    first name that is neither raises InvalidSetting."""
+    columns, _, orders = zip(*_columns(alphas))
+    found = []
     for name in names:
-        _row_value(blank, name, 0)
+        order = column_order(name)
+        near = [i for i, a in enumerate(orders)
+                if None not in (a, order) and abs(a - order) < 1e-12]
+        if name not in columns and not near:
+            raise InvalidSetting(name, f"unknown field '{name}'"
+                                 if order is None else f"field '{name}': "
+                                 "alpha missing from records")
+        found.append(columns.index(name) if name in columns else near[0])
+    return found
 
 
 def field_series(records: list, field: str, mode_index: int = 0):
-    """(parameters, values) arrays; failed rows contribute NaN."""
-    params = np.array([r.parameter for r in records])
-    vals = np.array([_row_value(r, field, mode_index) for r in records])
-    return params, vals
+    """(parameters, values) arrays of column `field`, named as check_fields
+    takes it for the records' Renyi orders; failed rows and rows without
+    that mode contribute NaN."""
+    alphas = record_orders(records)
+    i, = check_fields([field], alphas)
+    vals = [float(diagnostic_values(r.modes[mode_index], alphas)[i])
+            if r.error is None and mode_index < len(r.modes) else np.nan
+            for r in records]
+    return np.array([r.parameter for r in records]), np.array(vals)
 
 
 def detect_peaks(records: list, field: str, mode_index: int = 0) -> PeakEntry:
@@ -326,11 +377,8 @@ def detect_peaks(records: list, field: str, mode_index: int = 0) -> PeakEntry:
     if len(records) < 3:
         raise ValueError("need at least 3 records")
     params, vals = field_series(records, field, mode_index)
-    run = best_run = 0
-    for f in np.isfinite(vals):
-        run = run + 1 if f else 0
-        best_run = max(best_run, run)
-    if best_run < 3:
+    finite = np.isfinite(vals)
+    if not np.any(finite[:-2] & finite[1:-1] & finite[2:]):
         raise ValueError(
             f"field '{field}' is finite on fewer than 3 consecutive rows")
     comparable = np.where(np.isnan(vals), -np.inf, vals)

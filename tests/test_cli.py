@@ -95,7 +95,8 @@ class TestSweepCommand:
         assert "renyi_3" in header
 
     @pytest.mark.parametrize("fields, bad", [("K, Sfolded", "Sfolded"),
-                                             ("K, renyi_3", "renyi_3")])
+                                             ("K, renyi_3", "renyi_3"),
+                                             ("K, __init__", "__init__")])
     def test_unknown_svg_field_rejected_before_solving(
             self, config_path, tmp_path, capsys, fields, bad):
         out = tmp_path / "out"
@@ -294,6 +295,24 @@ class TestSolveAndAnalyze:
         assert main(["analyze", target, flag, value]) == 2
         assert message in capsys.readouterr().err
 
+    def test_analyze_coarse_header_h_exit_code(self, tmp_path, capsys):
+        # a cavity mode solved at h 0.1 whose header then claims h 0.5: the
+        # grid it names is too coarse to build, a bad header value
+        config = tmp_path / "disc.cfg"
+        config.write_text("[model]\nmodel = cavity\nh = 0.1\n"
+                          "[sweep]\ngrid = 0.1\nm = 1\n")
+        out = tmp_path / "modes"
+        assert main(["solve", str(config), "--out-dir", str(out)]) == 0
+        path = out / "mode_p0000_m0.ep"
+        lines = path.read_text().split("\n")
+        at = lines.index("h: 0.1")
+        lines[at] = "h: 0.5"
+        path.write_text("\n".join(lines))
+        capsys.readouterr()
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {at + 1}:" in err and "h=0.5" in err
+
     def test_analyze_missing_file(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "no.ep")]) == 4
 
@@ -348,6 +367,16 @@ class TestPlotCommand:
         bad.write_text("\n".join(lines) + "\n")
         assert main(["plot", str(bad), "--out", str(tmp_path / "x.svg")]) == 2
         assert "line 2: row violates K * R2^2 = 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["__init__", "__doc__", "__class__",
+                                      "renyi", "renyi_7"])
+    def test_plot_rejects_names_of_no_column(self, csv_path, tmp_path,
+                                             capsys, name):
+        svg = tmp_path / "x.svg"
+        assert main(["plot", csv_path, "--fields", f"K,{name}",
+                     "--out", str(svg)]) == 2
+        assert f"field '{name}'" in capsys.readouterr().err
+        assert not svg.exists()
 
     def test_plot_missing_csv(self, tmp_path):
         assert main(["plot", str(tmp_path / "no.csv"),

@@ -17,8 +17,9 @@ from epmodes.io import (_FIELD_OF_KEY, _SECTIONS, ParseError,
                         read_text, write_mode_file, write_sweep_csv)
 from epmodes.models import CavitySpec, Mode, assemble_helmholtz, \
     build_ellipse_grid, solve_cavity_modes, two_level_modes, TwoLevelParams
+from epmodes.models import InvalidSetting
 from epmodes.sweep import (ModeDiagnostics, SweepConfig, SweepRecord,
-                           mode_diagnostics, run_sweep)
+                           field_series, mode_diagnostics, run_sweep)
 from epmodes.svgplot import _PALETTE, emit_svg
 
 
@@ -355,6 +356,34 @@ class TestSweepCsv:
         row = path.read_text().splitlines()[-1]
         assert row.split(",")[1] == "-1"
 
+    @pytest.mark.parametrize("alphas, names", [
+        ((0.5, 1.23456789, 3.0),
+         ["renyi_0.5", "renyi_1.23456789", "renyi_3"]),
+        ((1.000001, 1.0000012), ["renyi_1.000001", "renyi_1.0000012"])])
+    def test_every_order_reads_back(self, tmp_path, alphas, names):
+        # :g keeps 6 significant digits, so these orders are spelled repr():
+        # one distinct column per order, and write -> read -> write is exact
+        cfg = SweepConfig("two_level",
+                          np.array([-0.1, -0.05, 0.0, 0.05, 0.1]),
+                          gamma=2.0, alphas=alphas)
+        records = run_sweep(cfg)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_sweep_csv(records, a, timestamp=False)
+        header = a.read_text().splitlines()[0].split(",")
+        assert [c for c in header if c.startswith("renyi_")] == names
+        back = read_sweep_csv(a)
+        assert back == records
+        write_sweep_csv(back, b, timestamp=False)
+        assert b.read_bytes() == a.read_bytes()
+        for name, alpha in zip(names, alphas):
+            for mi in range(2):
+                want = [r.modes[mi].renyi[alpha] for r in records]
+                assert field_series(back, name, mi)[1].tolist() == want
+        for name in csv_columns(alphas)[2:-2]:
+            assert np.array_equal(field_series(back, name)[1],
+                                  field_series(records, name)[1],
+                                  equal_nan=True)
+
     def test_columns_follow_mode_diagnostics(self):
         names = [f.name for f in dataclasses.fields(ModeDiagnostics)]
         i = names.index("renyi")
@@ -624,6 +653,7 @@ class TestModeFile:
     @pytest.mark.parametrize("key, bad", [("epsilon", "0.7"),
                                           ("mean_radius", "0"),
                                           ("h", "0"),
+                                          ("h", "0.5"),  # too coarse
                                           ("variant", "shut"),
                                           ("cap_strength", "-1"),
                                           ("cap_width", "0"),
@@ -924,6 +954,12 @@ class TestPlotBytes:
         got = {case: _svg_digest(records, fields, marker, tmp_path / "x.svg")
                for case, records, fields, marker in _plot_cases()}
         assert got == PLOT_DIGESTS
+        # values that span more than a double: the axis would divide by inf
+        wide = [SweepRecord(float(x), [dataclasses.replace(
+            _BASE_ROW, S_folded=v)])
+            for x, v in enumerate((-1e308, 1e308, 0.0))]
+        with pytest.raises(InvalidSetting, match="'S_folded' overflows"):
+            emit_svg(wide, ("R2", "S_folded"), tmp_path / "wide.svg")
 
     @given(records=_gappy_records(),
            fields=st.lists(st.sampled_from(_GAPPY_FIELDS), min_size=1,

@@ -774,6 +774,22 @@ def test_only_fold_sum_folds():
     assert len(owned) == 1 and calls == owned
 
 
+def _renyi_prefixes(tree):
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "renyi_" in node.value]
+
+
+def test_only_sweep_spells_renyi_columns():
+    # sweep.py names every Renyi column and parses every such name back, from
+    # one prefix constant; a second spelling elsewhere could drift from it
+    pkg = Path(__file__).resolve().parent.parent / "src" / "epmodes"
+    found = {path.name: _renyi_prefixes(ast.parse(path.read_text()))
+             for path in sorted(pkg.glob("*.py"))}
+    assert len(found.pop("sweep.py")) == 1
+    assert found == {name: [] for name in found}
+
+
 def _walk_calls(tree):
     return {(node.lineno, name) for node in ast.walk(tree)
             if isinstance(node, ast.Call)

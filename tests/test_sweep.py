@@ -9,6 +9,7 @@ from epmodes.linalg import NoConvergence
 from epmodes.models import (
     CavitySpec,
     GridGeometry,
+    InvalidSetting,
     Mode,
     TwoLevelParams,
     two_level_modes,
@@ -19,6 +20,7 @@ from epmodes.sweep import (
     SweepConfig,
     SweepRecord,
     anchored_grid,
+    check_fields,
     detect_peaks,
     field_series,
     mode_diagnostics,
@@ -390,6 +392,32 @@ class TestDetectPeaks:
         assert np.allclose(vals, 0.25)
         with pytest.raises(ValueError):
             field_series(recs, "renyi_7")
+
+    @pytest.mark.parametrize("name, message", [
+        ("__init__", "unknown field '__init__'"),
+        ("__doc__", "unknown field '__doc__'"),
+        ("__class__", "unknown field '__class__'"),
+        ("renyi", "unknown field 'renyi'"),
+        ("renyi_7", "field 'renyi_7': alpha missing from records")])
+    def test_only_columns_resolve(self, name, message):
+        # attribute names of a row are no columns; the check before a sweep
+        # and the lookup on its records reject each with one message
+        recs = stub_records([1.0, 3.0, 1.0])
+        with pytest.raises(InvalidSetting) as err:
+            field_series(recs, name)
+        assert str(err.value) == message and err.value.field == name
+        with pytest.raises(InvalidSetting, match=str(err.value)):
+            check_fields(["K", name], (1.0, 1.5))
+
+    @pytest.mark.parametrize("name, alpha", [
+        ("renyi_1", 1.0), ("renyi_1.0", 1.0), ("renyi_1.5", 1.5),
+        ("renyi_1.5000000000001", 1.5), ("renyi_15e-1", 1.5)])
+    def test_order_spellings_resolve(self, name, alpha):
+        recs = [SweepRecord(float(i), [stub_row(renyi={1.0: i, 1.5: -i})])
+                for i in range(3)]
+        want = [r.modes[0].renyi[alpha] for r in recs]
+        assert field_series(recs, name)[1].tolist() == want
+        check_fields([name], (1.0, 1.5))
 
     def test_error_rows_excluded_from_argmax(self):
         recs = stub_records([1.0, 3.0, 2.0, 1.5, 1.0])
