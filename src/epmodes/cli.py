@@ -25,10 +25,9 @@ import numpy as np
 from .circstats import NODE_CUTOFF, extract_phases, fold_sum, resultant
 from .entropy import (ALPHAS, K_MAX, N_BINS, HistogramPMF, chi_squared,
                       entropy_report, renyi)
-from .io import (SVG_FIELDS, ParseError, ValidationError, float_list,
-                 parse_config, parse_output_options, read_mode_file,
-                 read_sweep_csv, read_text, split_list, write_mode_file,
-                 write_sweep_csv)
+from .io import (SVG_FIELDS, ParseError, float_list, parse_config,
+                 parse_output_options, read_mode_file, read_sweep_csv,
+                 read_text, split_list, write_mode_file, write_sweep_csv)
 from .linalg import norm
 from .models import InvalidSetting, Mode
 from .nonorth import phase_rigidity_cs, petermann
@@ -235,7 +234,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, InvalidSetting) as exc:
+    except (ParseError, InvalidSetting) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # not bad input: a fault inside the command

@@ -19,8 +19,8 @@ import numpy as np
 
 from .models import (PROVENANCES, CavitySpec, GridTooCoarse, InvalidSetting,
                      Mode, build_ellipse_grid)
-from .sweep import (SweepConfig, SweepRecord, anchored_grid, column_order,
-                    diagnostic_columns, diagnostic_values,
+from .sweep import (SweepConfig, SweepRecord, anchored_grid, check_orders,
+                    column_order, diagnostic_columns, diagnostic_values,
                     diagnostics_from_values, record_orders)
 
 
@@ -51,12 +51,10 @@ class ParseError(Exception):
         super().__init__(f"line {line_number}: {message}")
 
 
-class ValidationError(Exception):
-    """A parsed value failed validation; carries the offending field name."""
-
-    def __init__(self, field: str, message: str = ""):
-        self.field = field
-        super().__init__(f"{field}: {message}" if message else field)
+def _invalid(key: str, message: str) -> InvalidSetting:
+    """A bad setting named as the user wrote it: a config key, an override
+    item or a command-line flag, which also heads the message."""
+    return InvalidSetting(key, f"{key}: {message}")
 
 
 _SECTIONS = {
@@ -105,7 +103,7 @@ def _parse_sections(text: str, overrides=()) -> dict:
         key = key.strip()
         value = value.strip()
         if key not in _SECTIONS[current]:
-            raise ValidationError(key, f"unknown key in [{current}]")
+            raise _invalid(key, f"unknown key in [{current}]")
         if key in sections[current]:
             raise ParseError(ln, f"duplicate key '{key}'")
         if not value:
@@ -116,13 +114,13 @@ def _parse_sections(text: str, overrides=()) -> dict:
         section, dot, key = head.partition(".")
         section, key, value = section.strip(), key.strip(), value.strip()
         if not eq or not dot:
-            raise ValidationError(item, "expected section.key=value")
+            raise _invalid(item, "expected section.key=value")
         if section not in _SECTIONS:
-            raise ValidationError(section, "unknown section")
+            raise _invalid(section, "unknown section")
         if key not in _SECTIONS[section]:
-            raise ValidationError(key, f"unknown key in [{section}]")
+            raise _invalid(key, f"unknown key in [{section}]")
         if not value:
-            raise ValidationError(key, "empty value")
+            raise _invalid(key, "empty value")
         sections[section][key] = value
     return sections
 
@@ -131,14 +129,14 @@ def _float(key: str, value: str) -> float:
     try:
         return float(value)
     except ValueError:
-        raise ValidationError(key, f"not a number: {value!r}") from None
+        raise _invalid(key, f"not a number: {value!r}") from None
 
 
 def _int(key: str, value: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise ValidationError(key, f"not an integer: {value!r}") from None
+        raise _invalid(key, f"not an integer: {value!r}") from None
 
 
 def split_list(key: str, value: str) -> tuple:
@@ -146,7 +144,7 @@ def split_list(key: str, value: str) -> tuple:
     `key`, the config key or command-line flag that gave the list."""
     items = tuple(part.strip() for part in value.split(","))
     if not all(items):
-        raise ValidationError(key, "empty item in comma list")
+        raise _invalid(key, "empty item in comma list")
     return items
 
 
@@ -157,12 +155,12 @@ def float_list(key: str, value: str) -> tuple:
 def _range_triple(key: str, value: str) -> np.ndarray:
     parts = value.split(":")
     if len(parts) != 3:
-        raise ValidationError(key, "expected start:stop:step")
+        raise _invalid(key, "expected start:stop:step")
     start, stop, step = (_float(key, p.strip()) for p in parts)
     try:
         return anchored_grid(start, stop, step)
     except ValueError as exc:
-        raise ValidationError(key, str(exc)) from None
+        raise _invalid(key, str(exc)) from None
 
 
 # how a key's text becomes its value, where that is not float()
@@ -184,19 +182,18 @@ def parse_config(text: str, overrides=()) -> SweepConfig:
     sec = _parse_sections(text, overrides)
     model = sec["model"].get("model")
     if model is None:
-        raise ValidationError("model", "required key missing")
+        raise _invalid("model", "required key missing")
     if model not in _DEFAULT_RANGES:
-        raise ValidationError("model", f"unknown model {model!r}")
+        raise _invalid("model", f"unknown model {model!r}")
     expected = "delta_range" if model == "two_level" else "epsilon_range"
     kwargs, key_of = {}, {}
     for name in ("model", "sweep", "analysis"):
         for key, value in sec[name].items():
             field = _FIELD_OF_KEY.get(key, key)
             if field in key_of:  # only the grid has more than one key
-                raise ValidationError(key, f"conflicts with {key_of[field]}")
+                raise _invalid(key, f"conflicts with {key_of[field]}")
             if field == "grid" and key not in ("grid", expected):
-                raise ValidationError(key, f"model '{model}' sweeps "
-                                      f"{expected}")
+                raise _invalid(key, f"model '{model}' sweeps {expected}")
             kwargs[field] = _CONVERT.get(key, _float)(key, value)
             key_of[field] = key
     if "grid" not in kwargs:
@@ -205,8 +202,8 @@ def parse_config(text: str, overrides=()) -> SweepConfig:
     try:
         return SweepConfig(**kwargs)
     except InvalidSetting as exc:
-        raise ValidationError(key_of.get(exc.field) or exc.field,
-                              str(exc)) from None
+        key = key_of.get(exc.field) or exc.field
+        raise _invalid(key, str(exc)) from None
 
 
 def parse_output_options(text: str, overrides=()) -> dict:
@@ -226,7 +223,7 @@ def parse_output_options(text: str, overrides=()) -> dict:
     if "timestamp" in sec:
         flag = sec["timestamp"].lower()
         if flag not in ("true", "false", "1", "0", "yes", "no"):
-            raise ValidationError("timestamp", f"not a boolean: {flag!r}")
+            raise _invalid("timestamp", f"not a boolean: {flag!r}")
         out["timestamp"] = flag in ("true", "1", "yes")
     return out
 
@@ -285,6 +282,10 @@ def read_sweep_csv(path) -> list:
         raise ParseError(1, "CSV has no data rows")
     header_ln, header = rows[0]
     alphas = [a for a in map(column_order, header) if a is not None]
+    try:
+        check_orders(alphas)
+    except InvalidSetting as exc:
+        raise ParseError(header_ln, str(exc)) from None
     if header != csv_columns(alphas):
         raise ParseError(header_ln, "unrecognized CSV header")
     records = []

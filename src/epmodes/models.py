@@ -26,11 +26,21 @@ class GridTooCoarse(Exception):
 
 
 class InvalidSetting(ValueError):
-    """A setting out of its range; `field` names the dataclass field."""
+    """A setting with a bad value; `field` names the setting as the caller
+    wrote it: a dataclass field, a config key, an override item or a flag."""
 
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(message)
+
+
+def check_finite(**settings) -> None:
+    """InvalidSetting naming the first of `settings` (name=value, a value a
+    number or an array) that holds a NaN or an infinity. A float setting's
+    owner calls this once, before its range checks."""
+    for name, value in settings.items():
+        if not np.all(np.isfinite(value)):
+            raise InvalidSetting(name, f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -40,6 +50,7 @@ class TwoLevelParams:
     gamma: float = 0.0
 
     def __post_init__(self):
+        check_finite(g=self.g, gamma=self.gamma)
         if not self.g > 0:
             raise InvalidSetting("g", "coupling g must be positive")
         if self.gamma < 0:
@@ -56,13 +67,15 @@ class CavitySpec:
     cap_width: float = 0.2
 
     def __post_init__(self):
+        if self.h is None:
+            object.__setattr__(self, "h", self.mean_radius / 50.0)
+        check_finite(mean_radius=self.mean_radius, h=self.h,
+                     cap_strength=self.cap_strength, cap_width=self.cap_width)
         # checked in field order, so the first bad field is the one named
         if not (0.0 <= self.epsilon < 0.5):
             raise InvalidSetting("epsilon", "epsilon must lie in [0, 0.5)")
         if not self.mean_radius > 0:
             raise InvalidSetting("mean_radius", "mean_radius must be positive")
-        if self.h is None:
-            object.__setattr__(self, "h", self.mean_radius / 50.0)
         if not self.h > 0:
             raise InvalidSetting("h", "grid step h must be positive")
         if self.variant not in ("closed", "open"):

@@ -24,6 +24,7 @@ from .models import (
     TwoLevelParams,
     assemble_helmholtz,
     build_ellipse_grid,
+    check_finite,
     solve_cavity_modes,
     two_level_modes,
 )
@@ -41,6 +42,8 @@ def anchored_grid(start: float, stop: float, step: float) -> np.ndarray:
     values (zero detuning in particular) exactly on the grid, and the point
     set is reproducible bitwise from the three scalars.
     """
+    if not np.all(np.isfinite((start, stop, step))):
+        raise ValueError("start, stop and step must be finite")
     if not (step > 0.0):
         raise ValueError("step must be positive")
     if stop < start:
@@ -53,6 +56,15 @@ def anchored_grid(start: float, stop: float, step: float) -> np.ndarray:
     return (k0 + np.arange(n, dtype=np.float64)) * step
 
 
+def check_orders(alphas) -> None:
+    """The rule for Renyi orders, each positive (NaN fails here) and finite,
+    as an InvalidSetting naming `alphas`; a CSV header's orders obey it
+    too."""
+    if not all(a > 0.0 for a in alphas):
+        raise InvalidSetting("alphas", "alpha must be positive")
+    check_finite(alphas=alphas)
+
+
 def check_analysis(N_bins: int, K_max: int, alphas: tuple,
                    node_cutoff: float) -> None:
     """The analysis settings' range checks, each an InvalidSetting naming
@@ -61,8 +73,9 @@ def check_analysis(N_bins: int, K_max: int, alphas: tuple,
         raise InvalidSetting("N_bins", "N_bins must be >= 2")
     if K_max < 1:
         raise InvalidSetting("K_max", "K_max must be >= 1")
-    if len(alphas) < 1 or not all(a > 0.0 for a in alphas):  # NaN too
+    if len(alphas) < 1:
         raise InvalidSetting("alphas", "alpha must be positive")
+    check_orders(alphas)
     if not (0.0 <= node_cutoff < 1.0):
         raise InvalidSetting("node_cutoff", "node_cutoff must lie in [0, 1)")
 
@@ -96,6 +109,7 @@ class SweepConfig:
         self.grid = np.asarray(self.grid, dtype=np.float64)
         if self.grid.ndim != 1 or self.grid.size < 1:
             raise InvalidSetting("grid", "grid must be a nonempty 1-D array")
+        check_finite(grid=self.grid, k_target=self.k_target)
         if self.grid.size > 1 and not np.all(np.diff(self.grid) > 0.0):
             raise InvalidSetting("grid", "grid must be strictly increasing")
         if self.m < 1:
@@ -107,6 +121,7 @@ class SweepConfig:
             TwoLevelParams(float(self.grid[0]), self.g, self.gamma)
             self.spec(0.0)
         else:
+            TwoLevelParams(0.0, self.g, self.gamma)
             if not (self.k_target > 0.0):
                 raise InvalidSetting("k_target", "k_target must be positive")
             # epsilon constraints are monotone, so the endpoints vet the grid

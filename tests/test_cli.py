@@ -147,6 +147,21 @@ class TestSweepCommand:
         direct = two_level_modes(TwoLevelParams(rec.parameter, 2.0, 0.0))
         assert rec.modes[0].re_eigenvalue == direct[0].eigen_k.real
 
+    @pytest.mark.parametrize("item", [
+        "model.g=inf", "model.gamma=nan", "model.cap_strength=inf",
+        "model.mean_radius=inf", "model.h=inf", "model.cap_width=inf",
+        "model.k_target=inf", "sweep.delta_range=0:inf:0.1",
+        "analysis.alpha=1, inf"])
+    def test_non_finite_setting_exit_code(self, config_path, tmp_path,
+                                          capsys, item):
+        # rejected before any point is solved, under the key that set it
+        out = tmp_path / "out"
+        assert main(["sweep", config_path, "--out-dir", str(out),
+                     "-O", item]) == 2
+        key = item.partition("=")[0].partition(".")[2]
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+        assert not out.exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("[model]\nmodel = two_level\n[analysis]\n"
@@ -319,8 +334,9 @@ class TestSolveAndAnalyze:
     @pytest.mark.parametrize("flag, value, message", [
         ("--n-bins", "1", "N_bins must be >= 2"),
         ("--alpha", "1,nan", "alpha must be positive"),
+        ("--alpha", "1,inf", "alphas must be finite"),
         ("--alpha", "1,,2", "--alpha: empty item"),
-    ], ids=["n_bins", "nan_alpha", "empty_alpha"])
+    ], ids=["n_bins", "nan_alpha", "inf_alpha", "empty_alpha"])
     def test_analyze_checks_flags_before_reading(self, tmp_path, capsys,
                                                  flag, value, message):
         # a bad flag is a usage error (2), not the missing file's (4)
@@ -367,6 +383,19 @@ class TestPlotCommand:
         bad.write_text("\n".join(lines) + "\n")
         assert main(["plot", str(bad), "--out", str(tmp_path / "x.svg")]) == 2
         assert "line 2: row violates K * R2^2 = 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new", [
+        ("renyi_1,", "renyi_-1,"), ("renyi_1,", "renyi_0,"),
+        ("renyi_2,", "renyi_nan,"), ("renyi_2,", "renyi_inf,")],
+        ids=["negative", "zero", "nan", "inf"])
+    def test_plot_rejects_bad_header_order(self, csv_path, tmp_path, capsys,
+                                           old, new):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(open(csv_path).read().replace(old, new, 1))
+        svg = tmp_path / "x.svg"
+        assert main(["plot", str(bad), "--out", str(svg)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 1: alpha")
+        assert not svg.exists()
 
     @pytest.mark.parametrize("name", ["__init__", "__doc__", "__class__",
                                       "renyi", "renyi_7"])

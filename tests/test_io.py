@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epmodes.io import (_FIELD_OF_KEY, _SECTIONS, ParseError,
-                        ValidationError, csv_columns, parse_config,
-                        parse_output_options, read_mode_file, read_sweep_csv,
-                        read_text, write_mode_file, write_sweep_csv)
+from epmodes.io import (_FIELD_OF_KEY, _SECTIONS, ParseError, csv_columns,
+                        parse_config, parse_output_options, read_mode_file,
+                        read_sweep_csv, read_text, write_mode_file,
+                        write_sweep_csv)
 from epmodes.models import CavitySpec, Mode, assemble_helmholtz, \
     build_ellipse_grid, solve_cavity_modes, two_level_modes, TwoLevelParams
 from epmodes.models import InvalidSetting
@@ -101,22 +101,22 @@ class TestParseConfig:
 
     def test_negative_n_bins_names_field(self):
         text = BASE + "[analysis]\nn_bins = -3\n"
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(InvalidSetting) as err:
             parse_config(text)
         assert err.value.field == "n_bins"
 
     def test_unknown_key_names_key(self):
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(InvalidSetting) as err:
             parse_config("[model]\nmodel = two_level\nfrobnicate = 1\n")
         assert err.value.field == "frobnicate"
 
     def test_missing_model(self):
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(InvalidSetting) as err:
             parse_config("[model]\ng = 1\n")
         assert err.value.field == "model"
 
     def test_unknown_model(self):
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(InvalidSetting) as err:
             parse_config("[model]\nmodel = quartic\n")
         assert err.value.field == "model"
 
@@ -143,29 +143,29 @@ class TestParseConfig:
     def test_grid_key_conflicts(self):
         text = ("[model]\nmodel = cavity\n[sweep]\n"
                 "epsilon_range = 0.1:0.2:0.05\ngrid = 0.1, 0.2\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(InvalidSetting):
             parse_config(text)
 
     def test_wrong_range_key_for_model(self):
         text = ("[model]\nmodel = two_level\n[sweep]\n"
                 "epsilon_range = 0.1:0.2:0.05\n")
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(InvalidSetting) as err:
             parse_config(text)
         assert err.value.field == "epsilon_range"
 
     def test_bad_range_shape(self):
         text = "[model]\nmodel = two_level\n[sweep]\ndelta_range = 0:1\n"
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(InvalidSetting) as err:
             parse_config(text)
         assert err.value.field == "delta_range"
 
     def test_non_numeric_value(self):
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(InvalidSetting) as err:
             parse_config("[model]\nmodel = two_level\ng = strong\n")
         assert err.value.field == "g"
 
     def test_bad_variant(self):
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(InvalidSetting) as err:
             parse_config("[model]\nmodel = cavity\nvariant = leaky\n")
         assert err.value.field == "variant"
 
@@ -178,11 +178,21 @@ class TestParseConfig:
         ("two_level", "g = 0", "g"),
         ("two_level", "gamma = -1", "gamma"),
         ("two_level", "variant = leaky", "variant"),
-        # two-level sweeps vet the cavity keys too
+        # each model vets the other model's keys too
         ("two_level", "cap_strength = -1", "cap_strength"),
+        ("cavity", "g = 0", "g"),
+        ("cavity", "gamma = nan", "gamma"),
+        # NaN and inf fail before the range checks they could slip past
+        ("two_level", "g = inf", "g"),
+        ("two_level", "gamma = nan", "gamma"),
+        ("cavity", "variant = open\ncap_strength = inf", "cap_strength"),
+        ("cavity", "h = -inf", "h"),
+        ("cavity", "mean_radius = inf", "mean_radius"),
+        ("cavity", "cap_width = nan", "cap_width"),
+        ("cavity", "k_target = inf", "k_target"),
     ])
     def test_bad_model_values(self, model, lines, field):
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(InvalidSetting) as err:
             parse_config(f"[model]\nmodel = {model}\n{lines}\n")
         assert err.value.field == field
 
@@ -191,19 +201,24 @@ class TestParseConfig:
         ("m = 1.5", "m"),
         ("epsilon_range = 0.4:0.6:0.05", "epsilon_range"),
         ("grid = 0.2, 0.1", "grid"),
+        ("epsilon_range = 0.1:inf:0.05", "epsilon_range"),
+        ("epsilon_range = nan:0.2:0.05", "epsilon_range"),
+        ("epsilon_range = 0.1:0.2:inf", "epsilon_range"),
+        ("grid = 0.1, inf", "grid"),
     ])
     def test_bad_sweep_values(self, line, field):
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(InvalidSetting) as err:
             parse_config(f"[model]\nmodel = cavity\n[sweep]\n{line}\n")
         assert err.value.field == field
 
     @pytest.mark.parametrize("line,field", [
         ("alpha = 1,-2", "alpha"),
+        ("alpha = 1, inf", "alpha"),
         ("k_max = 0", "k_max"),
         ("node_cutoff = 1.5", "node_cutoff"),
     ])
     def test_bad_analysis_values(self, line, field):
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(InvalidSetting) as err:
             parse_config(BASE + f"[analysis]\n{line}\n")
         assert err.value.field == field
 
@@ -214,7 +229,7 @@ class TestParseConfig:
     ])
     def test_empty_list_item_names_key(self, section, line, key):
         text = f"[model]\nmodel = cavity\n[{section}]\n{line}\n"
-        with pytest.raises(ValidationError, match="empty item") as err:
+        with pytest.raises(InvalidSetting, match="empty item") as err:
             parse_output_options(text)
             parse_config(text)
         assert err.value.field == key
@@ -247,7 +262,7 @@ class TestOutputOptions:
         assert opts["timestamp"] is False
 
     def test_bad_boolean(self):
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(InvalidSetting) as err:
             parse_output_options("[output]\ntimestamp = maybe\n")
         assert err.value.field == "timestamp"
 
@@ -267,7 +282,7 @@ class TestOverrides:
         ("model.gamma=", "gamma"),
     ], ids=["no_value", "empty"])
     def test_bad_override(self, item, field):
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(InvalidSetting) as err:
             parse_config(BASE, [item])
         assert err.value.field == field
 
@@ -400,6 +415,24 @@ class TestSweepCsv:
         with pytest.raises(ParseError) as err:
             read_sweep_csv(path)
         assert err.value.line_number == 1
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("renyi_1,", "renyi_-1,", "alpha must be positive"),
+        ("renyi_1,", "renyi_0,", "alpha must be positive"),
+        ("renyi_2,", "renyi_nan,", "alpha must be positive"),
+        ("renyi_2,", "renyi_inf,", "alphas must be finite"),
+    ], ids=["negative", "zero", "nan", "inf"])
+    def test_header_orders_obey_the_alpha_rule(self, tmp_path, old, new,
+                                               message):
+        # a Renyi order that SweepConfig would reject names the header line
+        cfg = SweepConfig("two_level", np.array([-0.1, 0.0, 0.1]),
+                          gamma=2.0, alphas=(1.0, 2.0))
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(run_sweep(cfg), path, timestamp=True)
+        path.write_text(path.read_text().replace(old, new, 1))
+        with pytest.raises(ParseError, match=message) as err:
+            read_sweep_csv(path)
+        assert err.value.line_number == 2  # after the timestamp comment
 
     def test_mode_row_must_continue_record(self, small_records, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -657,6 +690,11 @@ class TestModeFile:
                                           ("variant", "shut"),
                                           ("cap_strength", "-1"),
                                           ("cap_width", "0"),
+                                          ("mean_radius", "inf"),
+                                          ("h", "inf"),
+                                          ("cap_strength", "nan"),
+                                          ("cap_strength", "inf"),
+                                          ("cap_width", "-inf"),
                                           ("provenance", "cavity_x"),
                                           ("n", "17")])
     def test_invalid_header_value_names_line(self, cavity_mode, tmp_path,
@@ -730,7 +768,7 @@ def _outcome(read, path, text):
     path.write_bytes(text.encode())
     try:
         return read(path)
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, InvalidSetting) as exc:
         return type(exc), str(exc)
 
 

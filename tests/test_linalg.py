@@ -790,6 +790,64 @@ def test_only_sweep_spells_renyi_columns():
     assert found == {name: [] for name in found}
 
 
+def _setting_errors(tree):
+    """(line, name) of each exception class that stores a `field` or
+    derives from InvalidSetting: a bad setting's error class."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        bases = {getattr(b, "id", getattr(b, "attr", None))
+                 for b in cls.bases}
+        stores = any(isinstance(node, ast.Attribute) and node.attr == "field"
+                     and isinstance(node.ctx, ast.Store)
+                     for node in ast.walk(cls))
+        if "InvalidSetting" in bases or (stores and any(
+                (b or "").endswith(("Error", "Exception")) for b in bases)):
+            yield cls.lineno, cls.name
+
+
+def _exit_2_catches(tree):
+    """The exception names each handler in main() that returns 2 catches."""
+    main, = (fn for fn in tree.body
+             if isinstance(fn, ast.FunctionDef) and fn.name == "main")
+    return [sorted(getattr(n, "id", None) or n.attr
+                   for n in ast.walk(handler.type)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+            for handler in ast.walk(main)
+            if isinstance(handler, ast.ExceptHandler)
+            and any(isinstance(node, ast.Return)
+                    and getattr(node.value, "value", None) == 2
+                    for node in ast.walk(handler))]
+
+
+def test_one_error_class_for_a_bad_setting():
+    # models.InvalidSetting names every bad setting, a dataclass field, a
+    # config key, an override item or a flag, and exit 2 means bad input
+    planted = ast.parse(
+        "class BadValueError(Exception):\n"
+        "    def __init__(self, field, message):\n"
+        "        self.field = field\n"
+        "class BadKey(models.InvalidSetting):\n    pass\n"
+        "@dataclass\nclass Peak:\n    field: str\n"
+        "def main():\n    try:\n        pass\n"
+        "    except (ParseError, BadValueError, InvalidSetting):\n"
+        "        return 2\n"
+        "    except ValueError:\n        return 3\n")
+    assert list(_setting_errors(planted)) == [(1, "BadValueError"),
+                                              (4, "BadKey")]
+    assert _exit_2_catches(planted) == [
+        ["BadValueError", "InvalidSetting", "ParseError"]]
+    pkg = Path(__file__).resolve().parent.parent / "src" / "epmodes"
+    hits = [f"{path.name}:{line} {name}"
+            for path in sorted(pkg.glob("*.py")) if path.name != "models.py"
+            for line, name in _setting_errors(ast.parse(path.read_text()))]
+    assert hits == []
+    assert [name for _, name in _setting_errors(
+        ast.parse((pkg / "models.py").read_text()))] == ["InvalidSetting"]
+    assert _exit_2_catches(ast.parse((pkg / "cli.py").read_text())) == [
+        ["InvalidSetting", "ParseError"]]
+
+
 def _walk_calls(tree):
     return {(node.lineno, name) for node in ast.walk(tree)
             if isinstance(node, ast.Call)

@@ -18,6 +18,7 @@ from epmodes.models import (
     TwoLevelParams,
     CavitySpec,
     GridTooCoarse,
+    InvalidSetting,
     Mode,
     two_level_hamiltonian,
     two_level_modes,
@@ -94,6 +95,24 @@ class TestCavitySpec:
         assert s.h == pytest.approx(0.04)
         a, b = s.semi_axes
         assert a == pytest.approx(2.32) and b == pytest.approx(1.68)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cls, base, field", [
+    (TwoLevelParams, {"delta": 0.0, "g": 1.0}, "g"),
+    (TwoLevelParams, {"delta": 0.0, "g": 1.0}, "gamma"),
+    (CavitySpec, {"epsilon": 0.1}, "mean_radius"),
+    (CavitySpec, {"epsilon": 0.1}, "h"),
+    (CavitySpec, {"epsilon": 0.1, "variant": "open"}, "cap_strength"),
+    (CavitySpec, {"epsilon": 0.1}, "cap_width"),
+], ids=["g", "gamma", "mean_radius", "h", "cap_strength", "cap_width"])
+def test_non_finite_setting_names_its_field(cls, base, field, value):
+    # checked before the range checks, which NaN and inf could slip past
+    with pytest.raises(InvalidSetting, match=f"^{field} must be finite$") \
+            as err:
+        cls(**{**base, field: value})
+    assert err.value.field == field
 
 
 class TestGrid:

@@ -68,6 +68,15 @@ class TestAnchoredGrid:
         with pytest.raises(ValueError):
             anchored_grid(1.0, 0.0, 0.1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("at", [0, 1, 2], ids=["start", "stop", "step"])
+    def test_non_finite_scalar_rejected(self, at, value):
+        args = [0.0, 1.0, 0.1]
+        args[at] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            anchored_grid(*args)
+
 
 class TestSweepConfig:
     def test_valid_two_level(self):
@@ -103,6 +112,24 @@ class TestSweepConfig:
             SweepConfig("two_level", np.array([0.0, 1.0]), N_bins=1)
         with pytest.raises(ValueError):
             SweepConfig("two_level", np.array([0.0, 1.0]), node_cutoff=1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("model, setting, field", [
+        ("cavity", lambda v: {"k_target": v}, "k_target"),
+        ("two_level", lambda v: {"k_target": v}, "k_target"),
+        ("two_level", lambda v: {"grid": [0.0, v]}, "grid"),
+        ("cavity", lambda v: {"grid": [0.1, v]}, "grid"),
+        ("two_level", lambda v: {"alphas": (1.0, v)}, "alphas"),
+    ], ids=["cavity_k_target", "two_level_k_target", "two_level_grid",
+            "cavity_grid", "alphas"])
+    def test_non_finite_setting_names_its_field(self, model, setting, field,
+                                                value):
+        # a NaN order fails as not positive, the message the CLI pins
+        with pytest.raises(InvalidSetting, match="must be (finite|positive)") \
+                as err:
+            SweepConfig(model, **{"grid": [0.1, 0.2], **setting(value)})
+        assert err.value.field == field
 
 
 def lattice_mode(geom, field):
@@ -303,6 +330,54 @@ class TestRunSweepTwoLevelEP:
             assert a.track_ambiguous == b.track_ambiguous
             for ma, mb in zip(a.modes, b.modes):
                 assert ma == mb  # dataclass equality: all floats bitwise
+
+
+class TestTwoLevelEPLaws:
+    """The EP2 laws at g = 1, gamma = 2, whose EP sits at delta = 0. The
+    eigenvalues are -i +- s with s = sqrt(delta (delta - 2i)), and the
+    eigenvector of lambda is (1, w) with w = lambda - delta + 2i, so
+    r = (1 + w^2) / (1 + |w|^2) = (w - i)(w + i) / (1 + |w|^2), where
+    w - i = +-s - delta is formed without cancellation."""
+
+    DELTAS = [-10.0 ** -e for e in range(1, 7)] \
+        + [10.0 ** -e for e in range(6, 0, -1)]
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        return run_sweep(SweepConfig("two_level", self.DELTAS, gamma=2.0))
+
+    def test_rows_match_closed_forms(self, records):
+        for rec in records:
+            d = rec.parameter
+            s = np.sqrt(d * complex(d, -2.0))
+            lams = [complex(row.re_eigenvalue, row.im_eigenvalue)
+                    for row in rec.modes]
+            split2 = abs(lams[0] - lams[1]) ** 2
+            assert split2 == pytest.approx(4 * abs(d) * abs(complex(d, -2.0)),
+                                           rel=1e-12, abs=0.0)
+            for lam, row in zip(lams, rec.modes):
+                sign = 1.0 if abs(lam - (-1j + s)) < abs(lam - (-1j - s)) \
+                    else -1.0
+                assert lam == pytest.approx(-1j + sign * s, rel=1e-12)
+                w_minus_i = sign * s - d
+                r = abs(w_minus_i * (w_minus_i + 2j)) \
+                    / (1.0 + abs(w_minus_i + 1j) ** 2)
+                assert row.r_abs == pytest.approx(r, rel=1e-12, abs=0.0)
+                assert row.K == pytest.approx(1.0 / r ** 2, rel=1e-12, abs=0.0)
+            # the two branches take opposite signs of s
+            assert abs(lams[0] + lams[1] + 2j) < 1e-12
+
+    def test_limits_at_the_ep(self, records):
+        # K |d| -> 1/2, |r|^2 / |d| -> 2 and |split|^2 / |d| -> 8, each
+        # within O(|d|)
+        for rec in records:
+            d = abs(rec.parameter)
+            a, b = (complex(row.re_eigenvalue, row.im_eigenvalue)
+                    for row in rec.modes)
+            assert abs(abs(a - b) ** 2 / d - 8.0) <= d
+            for row in rec.modes:
+                assert abs(row.K * d - 0.5) <= d
+                assert abs(row.r_abs ** 2 / d - 2.0) <= 2.0 * d
 
 
 class TestRunSweepCavityBaseline:
