@@ -29,7 +29,7 @@ from .io import (SVG_FIELDS, ParseError, float_list, parse_config,
                  parse_output_options, read_mode_file, read_sweep_csv,
                  read_text, split_list, write_mode_file, write_sweep_csv)
 from .linalg import norm
-from .models import InvalidSetting, Mode
+from .models import InvalidSetting, Mode, check_finite
 from .nonorth import phase_rigidity_cs, petermann
 from .sweep import (SweepRecord, check_analysis, check_fields,
                     mode_diagnostics, run_sweep, solve_points)
@@ -117,6 +117,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_plot(args) -> int:
     fields = split_list("--fields", args.fields)
+    if args.marker is not None:
+        check_finite(**{"--marker": args.marker})
     records = read_sweep_csv(args.csv)
     emit_svg(records, fields, args.out, marker=args.marker)
     print(f"wrote {args.out}")

@@ -17,8 +17,8 @@ from io import StringIO
 
 import numpy as np
 
-from .models import (PROVENANCES, CavitySpec, GridTooCoarse, InvalidSetting,
-                     Mode, build_ellipse_grid)
+from .models import (CavitySpec, GridTooCoarse, InvalidSetting, Mode,
+                     build_ellipse_grid, check_finite)
 from .sweep import (SweepConfig, SweepRecord, anchored_grid, check_orders,
                     column_order, diagnostic_columns, diagnostic_values,
                     diagnostics_from_values, record_orders)
@@ -220,16 +220,13 @@ def parse_output_options(text: str, overrides=()) -> dict:
         out["svg_fields"] = split_list("svg_fields", sec["svg_fields"])
     if "marker" in sec:
         out["marker"] = _float("marker", sec["marker"])
+        check_finite(marker=out["marker"])
     if "timestamp" in sec:
         flag = sec["timestamp"].lower()
         if flag not in ("true", "false", "1", "0", "yes", "no"):
             raise _invalid("timestamp", f"not a boolean: {flag!r}")
         out["timestamp"] = flag in ("true", "1", "yes")
     return out
-
-
-def _is_text(f) -> bool:
-    return f.type in (str, "str")
 
 
 def csv_columns(alphas) -> list:
@@ -328,7 +325,7 @@ def _reprs(values: np.ndarray) -> map:
     return map(text.__getitem__, memoryview(bits))
 
 
-def write_mode_file(mode: Mode, path, parameter: float | None = None) -> None:
+def write_mode_file(mode: Mode, path, parameter: float) -> None:
     """EPMODE 1 text format: header lines, blank line, one row per point.
 
     The header stores the cavity spec, so the reader rebuilds the exact
@@ -336,8 +333,6 @@ def write_mode_file(mode: Mode, path, parameter: float | None = None) -> None:
     Re psi, Im psi) at full precision for inspection and plotting.
     """
     geo = mode.geometry
-    if parameter is None:
-        parameter = geo.spec.epsilon if geo is not None else float("nan")
     lam = complex(mode.eigen_k)
     lines = ["EPMODE 1",
              f"provenance: {mode.provenance}",
@@ -349,7 +344,8 @@ def write_mode_file(mode: Mode, path, parameter: float | None = None) -> None:
     if geo is not None:
         for f in fields(CavitySpec):
             v = getattr(geo.spec, f.name)
-            lines.append(f"{f.name}: {v if _is_text(f) else repr(float(v))}")
+            v = v if f.type == "str" else repr(float(v))
+            lines.append(f"{f.name}: {v}")
         xs, ys = _reprs(geo.pt_x), _reprs(geo.pt_y)
     else:
         xs = ys = ["0.0"] * mode.psi.size
@@ -367,7 +363,8 @@ def read_mode_file(path):
     Only the header is split into lines, at \\n alone. numpy parses the
     rows in one pass: n lines (the last \\n optional) holding 5n numbers
     with index column 0..n-1. Otherwise a scan names the first row that is
-    not its index and four more numbers.
+    not its index and four more numbers. Any CavitySpec key in the header
+    makes it a cavity mode, whose provenance follows from its geometry.
     """
     head, blank, body = read_text(path).partition("\n\n")
     if not blank:  # a final \n ends the last line, it opens no new one
@@ -397,9 +394,6 @@ def read_mode_file(path):
                              f"bad {key}: {header[key]!r}") from None
 
     provenance = value("provenance", str)
-    if provenance not in PROVENANCES:
-        raise ParseError(line_of["provenance"],
-                         f"unknown provenance {provenance!r}")
     n = value("n", int)
     rows = body.count("\n") + (body[-1:] not in "\n")  # "" is in any str
     if rows != n:
@@ -413,27 +407,25 @@ def read_mode_file(path):
     xs, ys, re_psi, im_psi = table.reshape(n, 5)[:, 1:].T
     psi = np.empty(n, dtype=np.complex128)
     psi.real, psi.imag = re_psi, im_psi  # keeps -0.0, unlike re + 1j * im
-    geometry = None
-    if provenance != "two_level":
-        try:
-            spec = CavitySpec(**{f.name: value(f.name, str if _is_text(f)
-                                               else float)
-                                 for f in fields(CavitySpec)})
-            geometry = build_ellipse_grid(spec)
-        except InvalidSetting as exc:
-            raise ParseError(line_of[exc.field], str(exc)) from None
-        except GridTooCoarse as exc:  # too few points at this h
-            raise ParseError(line_of["h"], str(exc)) from None
-        if geometry.npts != n:
-            raise ParseError(line_of["n"], f"geometry yields "
-                             f"{geometry.npts} points, file has {n}")
-        if not (np.array_equal(geometry.pt_x, xs)
-                and np.array_equal(geometry.pt_y, ys)):
-            raise ParseError(1, "row coordinates disagree with geometry")
     try:
+        geometry = None
+        if any(f.name in header for f in fields(CavitySpec)):
+            geometry = build_ellipse_grid(CavitySpec(**{
+                f.name: value(f.name, str if f.type == "str" else float)
+                for f in fields(CavitySpec)}))
+            if geometry.npts != n:
+                raise ParseError(line_of["n"], f"geometry yields "
+                                 f"{geometry.npts} points, file has {n}")
+            if not (np.array_equal(geometry.pt_x, xs)
+                    and np.array_equal(geometry.pt_y, ys)):
+                raise ParseError(1, "row coordinates disagree with geometry")
         mode = Mode(geometry, psi, value("eigenvalue", _complex_pair),
                     provenance, value("residual"),
                     bool(value("degenerate", int)))
+    except InvalidSetting as exc:  # a spec field, or the provenance
+        raise ParseError(line_of[exc.field], str(exc)) from None
+    except GridTooCoarse as exc:  # too few points at this h
+        raise ParseError(line_of["h"], str(exc)) from None
     except ValueError as exc:  # psi not intensity-normalized
         raise ParseError(body_start + 1, str(exc)) from None
     header["parameter"] = value("parameter")

@@ -30,6 +30,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 _SEED = 2718281828  # fixed Arnoldi start vector; reruns must be bitwise equal
 _PIVOT_RTOL = 1e-14
 _BLOCK = 32  # rows per replay block: a solve takes about 2n/32 Python steps
+RESIDUAL_TOL = 1e-10  # every returned eigenpair's residual on A meets it
 
 
 class SingularShift(Exception):
@@ -39,15 +40,13 @@ class SingularShift(Exception):
 
 class NoConvergence(Exception):
     """A solve hit a solver limit first (Arnoldi's Krylov cap or the QR's
-    iteration budget), named in the message; `max_iter` is the count it
-    stopped at, `best_residual` the smallest residual that missed tol."""
+    iteration budget), named in `reason`; `max_iter` is the count it
+    stopped at, `best_residual` the smallest residual over RESIDUAL_TOL."""
 
-    def __init__(self, max_iter: int, best_residual: float, reason: str = ""):
+    def __init__(self, max_iter: int, best_residual: float, reason: str):
         self.max_iter = max_iter
         self.best_residual = best_residual
-        super().__init__(reason or (
-            f"no convergence after {max_iter} steps "
-            f"(best residual {best_residual:.3e})"))
+        super().__init__(reason)
 
 
 def norm(v: np.ndarray) -> float:
@@ -62,14 +61,14 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 
 
 class SparseOperator:
-    """Square sparse matrix in row-grouped triplet form.
+    """Complex-symmetric square sparse matrix in row-grouped triplet form.
 
-    `symmetric=True` asserts complex symmetry (entry list closed under
-    (i, j) -> (j, i) with equal values); the constructor verifies it, because
-    every downstream rigidity identity silently depends on it.
+    The constructor verifies the symmetry (entry list closed under
+    (i, j) -> (j, i) with equal values, no tolerance), because every
+    downstream rigidity identity silently depends on it.
     """
 
-    def __init__(self, n: int, rows, cols, vals, symmetric: bool = False):
+    def __init__(self, n: int, rows, cols, vals):
         self.n = int(n)
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -87,14 +86,12 @@ class SparseOperator:
         key = self.rows * n + self.cols
         if key.size > 1 and np.any(key[1:] == key[:-1]):
             raise ValueError("duplicate (row, col) entry")
-        self.symmetric = bool(symmetric)
-        if self.symmetric:
-            tkey = self.cols * n + self.rows
-            torder = np.argsort(tkey)  # keys are unique: one order, no ties
-            if not np.array_equal(key, tkey[torder]):
-                raise ValueError("symmetric flag set but pattern is not")
-            if not np.array_equal(self.vals[torder], self.vals):
-                raise ValueError("symmetric flag set but values are not")
+        tkey = self.cols * n + self.rows
+        torder = np.argsort(tkey)  # keys are unique: one order, no ties
+        if not np.array_equal(key, tkey[torder]):
+            raise ValueError("operator pattern is not symmetric")
+        if not np.array_equal(self.vals[torder], self.vals):
+            raise ValueError("operator values are not symmetric")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """y = A x by scatter-add over the triplets."""
@@ -336,11 +333,11 @@ def _givens(a: complex, b: complex) -> tuple[float, complex]:
     return aa / r, alpha * b.conjugate() / r
 
 
-def hessenberg_eig(H: np.ndarray, count: int | None = None
+def hessenberg_eig(H: np.ndarray, count: int
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of a complex upper-Hessenberg matrix by decreasing modulus
     (ties in diagonal order), and a (K, count) array whose column j is a
-    unit eigenvector of eigenvalue j (count = K when None).
+    unit eigenvector of eigenvalue j.
 
     Explicit single-shift QR with Wilkinson shifts, each rotation kept inside
     the active window and no Schur vectors kept, then inverse iteration on H
@@ -407,7 +404,7 @@ def hessenberg_eig(H: np.ndarray, count: int | None = None
     floor = eps * (np.abs(H).sum(axis=0).max(initial=0.0) or 1.0)
     rng = np.random.default_rng(_SEED)
     vecs = []
-    for lam in evals[:K if count is None else count]:
+    for lam in evals[:count]:
         peers = [v for v, mu in zip(vecs, evals) if abs(mu - lam) <= floor]
         x = rng.standard_normal(K).astype(complex).tolist()
         for _ in range(2):
@@ -454,10 +451,10 @@ def _unit_gauge(v: np.ndarray) -> np.ndarray:
     return v * (rot if (piv * rot).real >= 0 else -rot)
 
 
-def shift_invert_eigs(A: SparseOperator, shift: complex, m: int,
-                      tol: float = 1e-10) -> list[EigenPair]:
+def shift_invert_eigs(A: SparseOperator, shift: complex, m: int
+                      ) -> list[EigenPair]:
     """The m eigenpairs of A nearest `shift`, sorted by |lambda - shift|,
-    each vector in `_unit_gauge`.
+    each vector in `_unit_gauge` and each residual within RESIDUAL_TOL.
 
     Arnoldi runs on (A - shift I)^{-1}, one LU solve per Krylov vector, up to
     the cap min(n, max(4m + 24, 200)) vectors, its one limit. Ritz values mu
@@ -469,8 +466,6 @@ def shift_invert_eigs(A: SparseOperator, shift: complex, m: int,
         raise ValueError("m must be >= 1")
     if m > A.n:
         raise ValueError("m exceeds operator dimension")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     n = A.n
     lu = lu_factor(A, shift)
     rng = np.random.default_rng(_SEED)
@@ -537,7 +532,7 @@ def shift_invert_eigs(A: SparseOperator, shift: complex, m: int,
             best_res = min(best_res, res)
             pairs.append(EigenPair(complex(lam[idx]), v, res))
             worst = max(worst, res)
-        if worst <= tol:
+        if worst <= RESIDUAL_TOL:
             return pairs
         if K >= cap:
             raise NoConvergence(built, float(best_res), (

@@ -17,7 +17,6 @@ from functools import cached_property
 from .linalg import SparseOperator, eig2x2, norm, shift_invert_eigs
 
 
-PROVENANCES = ("two_level", "cavity_closed", "cavity_open")
 _THETA_MIN = 1e-3  # a point on the wall would put 1/theta -> inf on the diagonal
 
 
@@ -179,6 +178,12 @@ class GridGeometry:
                 np.where(member, chi * scale, 0.0))
 
 
+def provenance_of(geometry: GridGeometry | None) -> str:
+    """`two_level` with no geometry, else `cavity_<the grid's variant>`."""
+    return "two_level" if geometry is None \
+        else f"cavity_{geometry.spec.variant}"
+
+
 @dataclass
 class Mode:
     """One eigenmode: complex values on interior points, intensity-normalized
@@ -192,8 +197,10 @@ class Mode:
     degenerate: bool = False
 
     def __post_init__(self):
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
+        want = provenance_of(self.geometry)
+        if self.provenance != want:
+            raise InvalidSetting("provenance", f"provenance must be "
+                                 f"{want!r}, not {self.provenance!r}")
         total = float(norm(self.psi) * self.h) ** 2
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"mode not intensity-normalized: {total!r}")
@@ -211,7 +218,7 @@ def two_level_hamiltonian(p: TwoLevelParams) -> np.ndarray:
 def two_level_modes(p: TwoLevelParams) -> list[Mode]:
     """Both eigenmodes of the two-level matrix, psi in eig2x2's gauge."""
     pairs = eig2x2(two_level_hamiltonian(p))
-    return [Mode(None, q.eigenvector, q.eigenvalue, "two_level",
+    return [Mode(None, q.eigenvector, q.eigenvalue, provenance_of(None),
                  q.residual_norm, q.degenerate) for q in pairs]
 
 
@@ -224,7 +231,7 @@ class CavityOperator(SparseOperator):
     which it keeps (with its spec) for turning eigenvectors into Modes."""
 
     def __init__(self, geometry: GridGeometry, rows, cols, vals):
-        super().__init__(geometry.npts, rows, cols, vals, symmetric=True)
+        super().__init__(geometry.npts, rows, cols, vals)
         self.geometry = geometry
 
 
@@ -295,7 +302,7 @@ def parity_reduce(op: CavityOperator) -> SparseOperator:
     uniq, inv = np.unique(keys, return_inverse=True)
     vals = np.zeros(uniq.size, dtype=np.complex128)
     np.add.at(vals, inv, (w * op.vals[rep][None, :])[keep])
-    return SparseOperator(n, uniq // n, uniq % n, vals, symmetric=True)
+    return SparseOperator(n, uniq // n, uniq % n, vals)
 
 
 def solve_cavity_modes(op: CavityOperator, k_target: float, m: int
@@ -320,8 +327,7 @@ def solve_cavity_modes(op: CavityOperator, k_target: float, m: int
     shift = k_target * k_target
     pairs = shift_invert_eigs(parity_reduce(op), shift, m)
     block, weight = geom.parity_basis
-    provenance = ("cavity_open" if geom.spec.variant == "open"
-                  else "cavity_closed")
+    provenance = provenance_of(geom)
     out = []
     for q in pairs:
         k = complex(np.sqrt(np.complex128(q.eigenvalue)))

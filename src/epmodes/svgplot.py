@@ -32,8 +32,8 @@ def _axis_range(values, name):
     return lo - pad, hi + pad
 
 
-def _ticks(lo, hi, n=5):
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+def _ticks(lo, hi):
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def emit_svg(records, fields, path, marker=None):

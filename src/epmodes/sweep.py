@@ -65,14 +65,19 @@ def check_orders(alphas) -> None:
     check_finite(alphas=alphas)
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """The rule for a count setting, an integer (NaN, inf and 3.5 are not)
+    of at least `least`, as an InvalidSetting naming `name`."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise InvalidSetting(name, f"{name} must be an integer >= {least}")
+
+
 def check_analysis(N_bins: int, K_max: int, alphas: tuple,
                    node_cutoff: float) -> None:
-    """The analysis settings' range checks, each an InvalidSetting naming
-    its SweepConfig field; `analyze` runs them before it reads a file."""
-    if N_bins < 2:
-        raise InvalidSetting("N_bins", "N_bins must be >= 2")
-    if K_max < 1:
-        raise InvalidSetting("K_max", "K_max must be >= 1")
+    """The analysis settings' checks, each an InvalidSetting naming its
+    SweepConfig field; `analyze` runs them before it reads a file."""
+    _check_count("N_bins", N_bins, 2)
+    _check_count("K_max", K_max, 1)
     if len(alphas) < 1:
         raise InvalidSetting("alphas", "alpha must be positive")
     check_orders(alphas)
@@ -112,8 +117,7 @@ class SweepConfig:
         check_finite(grid=self.grid, k_target=self.k_target)
         if self.grid.size > 1 and not np.all(np.diff(self.grid) > 0.0):
             raise InvalidSetting("grid", "grid must be strictly increasing")
-        if self.m < 1:
-            raise InvalidSetting("m", "m must be >= 1")
+        _check_count("m", self.m, 1)
         if self.model == "two_level":
             if self.m != 2:
                 raise InvalidSetting(
@@ -380,8 +384,8 @@ def field_series(records: list, field: str, mode_index: int = 0):
     return np.array([r.parameter for r in records]), np.array(vals)
 
 
-def detect_peaks(records: list, field: str, mode_index: int = 0) -> PeakEntry:
-    """Raw grid argmax plus quadratic sub-grid refinement over its triple.
+def detect_peaks(records: list, field: str) -> PeakEntry:
+    """Mode 0's raw argmax plus quadratic sub-grid refinement over its triple.
 
     The refined argmax is the vertex of the parabola through the triple,
     x0 + (d-^2 g+ - d+^2 g-) / (2 (d- g+ - d+ g-)), where d+- and g+- are the
@@ -391,7 +395,7 @@ def detect_peaks(records: list, field: str, mode_index: int = 0) -> PeakEntry:
     """
     if len(records) < 3:
         raise ValueError("need at least 3 records")
-    params, vals = field_series(records, field, mode_index)
+    params, vals = field_series(records, field)
     finite = np.isfinite(vals)
     if not np.any(finite[:-2] & finite[1:-1] & finite[2:]):
         raise ValueError(

@@ -237,7 +237,7 @@ class TestCurrentField:
         g = build_ellipse_grid(spec)
         raw = np.exp(1j * kappa * g.pt_x)
         psi = raw / (np.sqrt((np.abs(raw) ** 2).sum()) * g.h)
-        m = Mode(g, psi, kappa, "cavity_open")
+        m = Mode(g, psi, kappa, f"cavity_{g.spec.variant}")
         j = current_field(m)
         a2 = np.abs(psi) ** 2
         bound = kappa * (kappa * g.h) ** 2 / 4.0

@@ -1,5 +1,7 @@
 """End-to-end runs of every subcommand through main(argv)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,16 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_marker_exit_code(self, config_path, tmp_path, capsys,
+                                         value):
+        # a marker that is not finite would silently draw no line
+        out = tmp_path / "out"
+        assert main(["sweep", config_path, "--out-dir", str(out),
+                     "-O", f"output.marker={value}"]) == 2
+        assert capsys.readouterr().err == "error: marker must be finite\n"
+        assert not out.exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("[model]\nmodel = two_level\n[analysis]\n"
@@ -295,8 +307,8 @@ class TestSolveAndAnalyze:
             == [row.split(",")[2:-2] for row in swept[1:]]
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--n-bins", "1", "N_bins must be >= 2"),
-        ("--k-max", "0", "K_max must be >= 1"),
+        ("--n-bins", "1", "N_bins must be an integer >= 2"),
+        ("--k-max", "0", "K_max must be an integer >= 1"),
         ("--alpha", "0", "alpha must be positive"),
         ("--alpha", "1,-2", "alpha must be positive"),
         ("--node-cutoff", "1.5", "node_cutoff must lie in [0, 1)"),
@@ -332,7 +344,7 @@ class TestSolveAndAnalyze:
         assert main(["analyze", str(tmp_path / "no.ep")]) == 4
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--n-bins", "1", "N_bins must be >= 2"),
+        ("--n-bins", "1", "N_bins must be an integer >= 2"),
         ("--alpha", "1,nan", "alpha must be positive"),
         ("--alpha", "1,inf", "alphas must be finite"),
         ("--alpha", "1,,2", "--alpha: empty item"),
@@ -360,6 +372,16 @@ class TestPlotCommand:
         text = svg.read_text()
         assert "<polyline" in text and "K (mode 0)" in text
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_plot_rejects_non_finite_marker(self, csv_path, tmp_path, capsys,
+                                            value):
+        # a marker that is not finite would silently draw no line
+        svg = tmp_path / "x.svg"
+        assert main(["plot", csv_path, "--out", str(svg),
+                     f"--marker={value}"]) == 2
+        assert capsys.readouterr().err == "error: --marker must be finite\n"
+        assert not svg.exists()
+
     def test_plot_unknown_field(self, csv_path, tmp_path, capsys):
         assert main(["plot", csv_path, "--fields", "bogus",
                      "--out", str(tmp_path / "x.svg")]) == 2
@@ -375,7 +397,7 @@ class TestPlotCommand:
     def test_plot_names_line_of_identity_break(self, csv_path, tmp_path,
                                                capsys):
         # K = 3 on the first data row (file line 2) breaks K * R2^2 = 1
-        lines = open(csv_path).read().splitlines()
+        lines = Path(csv_path).read_text().splitlines()
         cells = lines[1].split(",")
         cells[csv_columns((1.0, 1.5, 2.0)).index("K")] = "3.0"
         lines[1] = ",".join(cells)
@@ -391,7 +413,7 @@ class TestPlotCommand:
     def test_plot_rejects_bad_header_order(self, csv_path, tmp_path, capsys,
                                            old, new):
         bad = tmp_path / "bad.csv"
-        bad.write_text(open(csv_path).read().replace(old, new, 1))
+        bad.write_text(Path(csv_path).read_text().replace(old, new, 1))
         svg = tmp_path / "x.svg"
         assert main(["plot", str(bad), "--out", str(svg)]) == 2
         assert capsys.readouterr().err.startswith("error: line 1: alpha")

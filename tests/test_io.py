@@ -266,6 +266,13 @@ class TestOutputOptions:
             parse_output_options("[output]\ntimestamp = maybe\n")
         assert err.value.field == "timestamp"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_marker(self, value):
+        with pytest.raises(InvalidSetting,
+                           match="^marker must be finite$") as err:
+            parse_output_options(f"[output]\nmarker = {value}\n")
+        assert err.value.field == "marker"
+
 
 
 class TestOverrides:
@@ -526,7 +533,7 @@ class TestModeFile:
     def test_cavity_round_trip_preserves_diagnostics(self, cavity_mode,
                                                      tmp_path):
         path = tmp_path / "c.ep"
-        write_mode_file(cavity_mode, path)
+        write_mode_file(cavity_mode, path, parameter=0.1)
         back, header = read_mode_file(path)
         assert header["parameter"] == 0.1
         assert np.array_equal(back.psi, cavity_mode.psi)
@@ -560,9 +567,31 @@ class TestModeFile:
         with pytest.raises(ParseError):
             read_mode_file(path)
 
+    @pytest.mark.parametrize("label", ["cavity_closed", "cavity_open",
+                                       "cavity_x"])
+    def test_cavity_label_without_spec_names_provenance(self, tmp_path,
+                                                         label):
+        # a header with no cavity key describes a two-level mode
+        mode = two_level_modes(TwoLevelParams(0.3, 1.0, 2.0))[0]
+        path = tmp_path / "m.ep"
+        write_mode_file(mode, path, parameter=0.3)
+        path.write_text(path.read_text().replace(
+            "provenance: two_level", f"provenance: {label}", 1))
+        with pytest.raises(ParseError, match="provenance must be "
+                           "'two_level'") as err:
+            read_mode_file(path)
+        assert err.value.line_number == 2
+
+    def test_partial_spec_names_missing_key(self, cavity_mode, tmp_path):
+        path = tmp_path / "c.ep"
+        write_mode_file(cavity_mode, path, parameter=0.1)
+        path.write_text(path.read_text().replace("epsilon: 0.1\n", "", 1))
+        with pytest.raises(ParseError, match="missing 'epsilon'"):
+            read_mode_file(path)
+
     def test_truncated_rows(self, cavity_mode, tmp_path):
         path = tmp_path / "c.ep"
-        write_mode_file(cavity_mode, path)
+        write_mode_file(cavity_mode, path, parameter=0.1)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-3]) + "\n")
         with pytest.raises(ParseError):
@@ -571,7 +600,7 @@ class TestModeFile:
     def test_malformed_row_names_line(self, tmp_path):
         mode = two_level_modes(TwoLevelParams(0.3, 1.0, 2.0))[0]
         path = tmp_path / "m.ep"
-        write_mode_file(mode, path)
+        write_mode_file(mode, path, parameter=0.3)
         lines = path.read_text().splitlines()
         blank = lines.index("")
         lines[blank + 2] = "1 0.0 junk"
@@ -603,7 +632,7 @@ class TestModeFile:
     def test_non_numeric_row_names_line(self, tmp_path, row):
         mode = two_level_modes(TwoLevelParams(0.3, 1.0, 2.0))[0]
         path = tmp_path / "m.ep"
-        write_mode_file(mode, path)
+        write_mode_file(mode, path, parameter=0.3)
         lines = path.read_text().splitlines()
         blank = lines.index("")
         lines[blank + 2] = row
@@ -617,7 +646,7 @@ class TestModeFile:
         # row 3 is the first bad one; the row count is right in both cases,
         # and so is the token total for a 4-token row before a 6-token row
         path = tmp_path / "c.ep"
-        write_mode_file(cavity_mode, path)
+        write_mode_file(cavity_mode, path, parameter=0.1)
         lines = path.read_text().splitlines()
         r3 = lines.index("") + 4
         if edit == "short_then_long":
@@ -638,7 +667,7 @@ class TestModeFile:
     def test_line_end_variants_read_bitwise(self, cavity_mode, tmp_path,
                                             rewrite):
         path = tmp_path / "c.ep"
-        write_mode_file(cavity_mode, path)
+        write_mode_file(cavity_mode, path, parameter=0.1)
         path.write_bytes(rewrite(path.read_text()).encode())
         back, header = read_mode_file(path)
         assert header["parameter"] == 0.1
@@ -648,7 +677,7 @@ class TestModeFile:
     def test_signed_zeros_read_back(self, tmp_path):
         psi = np.array([complex(-0.0, 1.0), complex(0.0, -0.0)])
         path = tmp_path / "m.ep"
-        write_mode_file(Mode(None, psi, 1.0, "two_level"), path)
+        write_mode_file(Mode(None, psi, 1.0, "two_level"), path, parameter=0.0)
         back, _ = read_mode_file(path)
         assert np.array_equal(np.signbit(back.psi.view(np.float64)),
                               [True, False, False, True])
@@ -678,7 +707,7 @@ class TestModeFile:
                        f"{float(p.imag)!r}\n"
                        for i, (x, y, p) in enumerate(zip(xs, ys, psi)))
         path = tmp_path / "m.ep"
-        write_mode_file(mode, path)
+        write_mode_file(mode, path, parameter=0.3)
         rows = path.read_text().partition("\n\n")[2]
         assert "-0.0 " in rows
         assert rows == want
@@ -696,11 +725,13 @@ class TestModeFile:
                                           ("cap_strength", "inf"),
                                           ("cap_width", "-inf"),
                                           ("provenance", "cavity_x"),
+                                          ("provenance", "cavity_open"),
+                                          ("provenance", "two_level"),
                                           ("n", "17")])
     def test_invalid_header_value_names_line(self, cavity_mode, tmp_path,
                                              key, bad):
         path = tmp_path / "c.ep"
-        write_mode_file(cavity_mode, path)
+        write_mode_file(cavity_mode, path, parameter=0.1)
         lines = path.read_text().splitlines()
         at = next(i for i, ln in enumerate(lines)
                   if ln.startswith(key + ": "))
@@ -714,7 +745,7 @@ class TestModeFile:
 
     def test_spec_header_follows_cavity_spec(self, cavity_mode, tmp_path):
         path = tmp_path / "c.ep"
-        write_mode_file(cavity_mode, path)
+        write_mode_file(cavity_mode, path, parameter=0.1)
         lines = path.read_text().splitlines()
         keys = [ln.partition(": ")[0] for ln in lines[1:lines.index("")]]
         assert keys == ["provenance", "parameter", "eigenvalue", "residual",
@@ -724,7 +755,7 @@ class TestModeFile:
     def test_unnormalized_psi_names_first_row(self, tmp_path):
         mode = two_level_modes(TwoLevelParams(0.3, 1.0, 2.0))[0]
         path = tmp_path / "m.ep"
-        write_mode_file(mode, path)
+        write_mode_file(mode, path, parameter=0.3)
         lines = path.read_text().splitlines()
         blank = lines.index("")
         lines[blank + 1] = "0 0.0 0.0 3.0 0.0"

@@ -47,7 +47,7 @@ def laplacian_1d(n, h):
             rows += [i, i + 1]
             cols += [i + 1, i]
             vals += [-1.0 / h**2, -1.0 / h**2]
-    return SparseOperator(n, rows, cols, vals, symmetric=True)
+    return SparseOperator(n, rows, cols, vals)
 
 
 def from_dense(M):
@@ -56,27 +56,32 @@ def from_dense(M):
     return SparseOperator(M.shape[0], r, c, M[r, c])
 
 
+def symmetrized(M):
+    """The complex-symmetric matrix with M's lower triangle."""
+    L = np.tril(M, -1)
+    return L + L.T + np.diag(np.diag(M))
+
+
 def to_dense(A):
     M = np.zeros((A.n, A.n), dtype=np.complex128)
     M[A.rows, A.cols] = A.vals
     return M
 
 
-def random_banded(rng, n, kl, ku, real=False):
-    rows, cols, vals = [], [], []
+def random_banded(rng, n, k, real=False):
+    # complex symmetric with half-bandwidth k on both sides
+    M = np.zeros((n, n), dtype=np.complex128)
     for i in range(n):
-        for j in range(max(0, i - kl), min(n, i + ku + 1)):
-            rows.append(i)
-            cols.append(j)
-            vals.append(complex(rng.standard_normal(),
-                                0.0 if real else rng.standard_normal()))
-    return SparseOperator(n, rows, cols, vals)
+        for j in range(max(0, i - k), i + 1):
+            M[i, j] = M[j, i] = complex(
+                rng.standard_normal(), 0.0 if real else rng.standard_normal())
+    return from_dense(M)
 
 
 class TestSparseOperator:
     def test_apply_matches_dense(self):
         rng = np.random.default_rng(7)
-        A = random_banded(rng, 12, 2, 3)
+        A = random_banded(rng, 12, 2)
         x = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         assert norm(A.apply(x) - to_dense(A) @ x) < 1e-12 * norm(x)
 
@@ -91,37 +96,45 @@ class TestSparseOperator:
         with pytest.raises(ValueError, match="duplicate"):
             SparseOperator(2, [0, 0], [1, 1], [1.0, 2.0])
 
-    def test_symmetric_flag_verified(self):
-        SparseOperator(2, [0, 1], [1, 0], [2.0, 2.0], symmetric=True)
-        with pytest.raises(ValueError, match="symmetric"):
-            SparseOperator(2, [0, 1], [1, 0], [2.0, 3.0], symmetric=True)
-        with pytest.raises(ValueError, match="symmetric"):
-            SparseOperator(2, [0], [1], [2.0], symmetric=True)
+    def test_asymmetry_rejected(self):
+        # every operator is checked complex symmetric, with no tolerance
+        SparseOperator(2, [0, 1], [1, 0], [2.0 + 1j, 2.0 + 1j])
+        with pytest.raises(ValueError, match="values are not symmetric"):
+            SparseOperator(2, [0, 1], [1, 0], [2.0, 3.0])
+        with pytest.raises(ValueError, match="values are not symmetric"):
+            SparseOperator(2, [0, 1], [1, 0],
+                           [2.0, np.nextafter(2.0, np.inf)])
+        with pytest.raises(ValueError, match="pattern is not symmetric"):
+            SparseOperator(2, [0], [1], [2.0])
+        with pytest.raises(ValueError, match="pattern is not symmetric"):
+            SparseOperator(3, [0, 1, 1, 2], [1, 0, 2, 0], [1.0] * 4)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             SparseOperator(1, [0], [0], [np.nan])
 
     def test_bandwidths(self):
-        A = SparseOperator(5, [0, 3, 1], [2, 1, 1], [1.0, 1.0, 1.0])
+        A = SparseOperator(5, [0, 2, 3, 1, 1], [2, 0, 1, 3, 1], [1.0] * 5)
         assert A.bandwidths() == (2, 2)
+        assert SparseOperator(3, [], [], []).bandwidths() == (0, 0)
 
 
 class TestBandedLU:
     @pytest.mark.parametrize(
         "n,kl,ku,real",
-        [(8, 1, 1, False), (30, 3, 2, False), (50, 5, 5, False),
-         (40, 4, 3, True), (45, 3, 4, False), (10, 6, 5, False),
-         (150, 20, 17, False), (120, 9, 8, True)],
-        ids=["8-1-1", "30-3-2", "50-5-5", "40-4-3-real", "45-3-4",
-             "10-6-5", "150-20-17", "120-9-8-real"])
+        [(8, 1, 1, False), (30, 3, 3, False), (50, 5, 5, False),
+         (40, 4, 4, True), (45, 4, 4, False), (10, 6, 6, False),
+         (150, 16, 16, False), (120, 9, 9, True)],
+        ids=["8-1-1", "30-3-3", "50-5-5", "40-4-4-real", "45-4-4",
+             "10-6-6", "150-16-16", "120-9-9-real"])
     def test_residual_random_systems(self, n, kl, ku, real):
         # real operator with real shift takes the float64 factor path. The
-        # replay block is B = min(32, kl + ku) rows: 45-3-4 ends in a partial
-        # block, 10-6-5 has n < B, 150-20-17 has B = 32 and five blocks, and
-        # 120-9-8-real runs several blocks on the float64 path.
+        # replay block is B = min(32, kl + ku) rows: 45-4-4 ends in a partial
+        # block, 10-6-6 has n < B, 150-16-16 has B = 32 and five blocks, and
+        # 120-9-9-real runs several blocks on the float64 path.
         rng = np.random.default_rng(n)
-        A = random_banded(rng, n, kl, ku, real)
+        A = random_banded(rng, n, kl, real)
+        assert A.bandwidths() == (kl, ku)
         shift = 0.3 if real else 0.3 + 0.2j
         lu = lu_factor(A, shift)
         assert lu._T.dtype == (np.float64 if real else np.complex128)
@@ -141,11 +154,11 @@ class TestBandedLU:
 
     def test_pivot_across_block_edge(self):
         # tridiagonal, so blocks of B = 2 rows; row 3, the last of block 1,
-        # has a tiny diagonal and nothing left of it, so column 3 takes its
-        # pivot from row 4, the first row of block 2
+        # has a tiny diagonal and a tiny coupling to row 2, so column 3
+        # takes its pivot from row 4, the first row of block 2
         n = 8
         M = 4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
-        M[3, 3], M[3, 2] = 1e-20, 0.0
+        M[3, 3], M[3, 2], M[2, 3] = 1e-20, 1e-10, 1e-10
         A = from_dense(M)
         lu = lu_factor(A)
         assert lu._perm[1, 0, 1] == 4
@@ -197,6 +210,7 @@ class TestBandedLU:
                     M[i, j] = complex(rng.standard_normal(),
                                       rng.standard_normal())
                 M[i, i] += 6.0
+        M = symmetrized(M)
         M[10, 10] = 1e-13  # first column of the 6-row block
         shift = 0.4 - 0.1j
         A = from_dense(M)
@@ -214,12 +228,13 @@ class TestBandedLU:
                 assert own._perm[0, 0, 0] != 0
 
     def test_singular_shift_names_global_column(self):
-        # lanes [5 rows], [4 rows]: the second block's column 2 (global
-        # column 7) has an exact zero pivot
+        # lanes [5 rows], [4 rows]: the second block's last column (global
+        # column 8) has an exact zero pivot, every earlier pivot ties with
+        # the entry below it and so stays in place
         M = np.zeros((9, 9))
         M[:5, :5] = 4.0 * np.eye(5) + np.eye(5, k=1) + np.eye(5, k=-1)
-        M[5:, 5:] = [[1, 1, 0, 0], [1, 2, 1, 0], [0, 1, 1, 1], [0, 0, 0, 2]]
-        with pytest.raises(SingularShift, match=r"at column 7 "):
+        M[5:, 5:] = [[1, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 1]]
+        with pytest.raises(SingularShift, match=r"at column 8 "):
             lu_factor(from_dense(M))
         # a later local column in an earlier block still comes first: the
         # first block's last pivot becomes M[4, 4] - 1/d3 = 0, where
@@ -235,12 +250,13 @@ class TestBandedLU:
         # diagonally dominant except at a few rows, whose tiny pivots swap
         # in a row from below and so carry U entries past ku
         rng = np.random.default_rng(9)
-        n, kl, ku = 60, 3, 2
+        n = 60
         M = np.zeros((n, n), dtype=complex)
         for i in range(n):
-            for j in range(max(0, i - kl), min(n, i + ku + 1)):
+            for j in range(max(0, i - 3), i + 1):
                 M[i, j] = complex(rng.standard_normal(), rng.standard_normal())
             M[i, i] += 8.0
+        M = symmetrized(M)
         for i in (7, 23, 24, 41):
             M[i, i] = 1e-12
         lu = lu_factor(from_dense(M))
@@ -274,7 +290,7 @@ class TestHessenbergEig:
         K = 30
         H = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
         H = np.triu(H, -1)  # upper Hessenberg
-        evals, vecs = hessenberg_eig(H)
+        evals, vecs = hessenberg_eig(H, K)
         oracle = np.sort_complex(np.linalg.eigvals(H))
         assert np.allclose(np.sort_complex(evals), oracle, atol=1e-8)
         scale = np.abs(H).max()
@@ -285,8 +301,9 @@ class TestHessenbergEig:
     def test_repeated_eigenvalues(self):
         H = np.diag([2.0, 2.0, 5.0]).astype(complex)
         H[0, 1] = 1.0
-        evals, _ = hessenberg_eig(H)
+        evals, vecs = hessenberg_eig(H, 0)
         assert np.allclose(np.sort_complex(evals), [2.0, 2.0, 5.0])
+        assert vecs.shape == (3, 0)
 
     def test_wanted_vectors_against_dense_oracle(self):
         rng = np.random.default_rng(12)
@@ -325,7 +342,7 @@ class TestHessenbergEig:
         # defective: one eigenvector for the double eigenvalue, returned for
         # both copies
         H = np.array([[2.0 + 1.0j, 1.0], [0.0, 2.0 + 1.0j]])
-        evals, vecs = hessenberg_eig(H)
+        evals, vecs = hessenberg_eig(H, 2)
         assert np.allclose(evals, 2.0 + 1.0j, rtol=0.0, atol=1e-15)
         for k in range(2):
             assert abs(norm(vecs[:, k]) - 1.0) <= 1e-14
@@ -343,18 +360,18 @@ class TestHessenbergEig:
 class TestShiftInvert:
     def test_diagonal_nearest_ordering(self):
         # eigenvalues {1, 2, 10}; the two nearest 1.6 are 2 then 1
-        A = SparseOperator(3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 10.0],
-                           symmetric=True)
+        A = SparseOperator(3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 10.0])
         pairs = shift_invert_eigs(A, 1.6, 2)
         got = [p.eigenvalue for p in pairs]
         assert abs(got[0] - 2.0) < 1e-12
         assert abs(got[1] - 1.0) < 1e-12
 
-    def test_1d_laplacian_analytic(self):
+    def test_1d_laplacian_analytic(self, monkeypatch):
         h = 1.0 / 100.0
         n = 99
         A = laplacian_1d(n, h)
-        pairs = shift_invert_eigs(A, 9.0, 2, tol=1e-11)
+        monkeypatch.setattr(linalg, "RESIDUAL_TOL", 1e-11)
+        pairs = shift_invert_eigs(A, 9.0, 2)
         exact = [(4.0 / h**2) * np.sin(p * np.pi * h / 2.0) ** 2
                  for p in (1, 2)]
         for pair, lam in zip(pairs, exact):
@@ -376,7 +393,7 @@ class TestShiftInvert:
                                                   spec))
         for A, shift, real in ((laplacian_1d(40, 1.0 / 41.0), 50.0, True),
                                (cavity, 2.4 ** 2, False)):
-            for p in shift_invert_eigs(A, shift, 3, tol=1e-10):
+            for p in shift_invert_eigs(A, shift, 3):
                 assert p.residual_norm <= 1e-10
                 v = p.eigenvector
                 assert abs(norm(v) - 1.0) < 1e-12
@@ -407,7 +424,7 @@ class TestShiftInvert:
     def test_complex_symmetric_two_level(self):
         # [[1-2i, 1], [1, -1]]: quadratic-formula oracle
         A = SparseOperator(2, [0, 0, 1, 1], [0, 1, 0, 1],
-                           [1.0 - 2.0j, 1.0, 1.0, -1.0], symmetric=True)
+                           [1.0 - 2.0j, 1.0, 1.0, -1.0])
         pairs = shift_invert_eigs(A, 1.0 - 1.0j, 2)
         mean, d = (1.0 - 2.0j - 1.0) / 2.0, (1.0 - 2.0j + 1.0) / 2.0
         s = cmath.sqrt(d * d + 1.0)
@@ -427,34 +444,36 @@ class TestShiftInvert:
             assert pa.eigenvalue == pb.eigenvalue
             assert pa.eigenvector.tobytes() == pb.eigenvector.tobytes()
 
-    def test_krylov_cap_names_itself_and_its_solves(self):
+    def test_krylov_cap_names_itself_and_its_solves(self, monkeypatch):
         # the whole 3-dimensional space is spanned after 3 solves; no
-        # residual meets tol=1e-300, and the error names the cap it hit
-        A = SparseOperator(3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 10.0],
-                           symmetric=True)
+        # residual meets a bound of 1e-300, and the error names the cap it
+        # hit
+        A = SparseOperator(3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 10.0])
+        monkeypatch.setattr(linalg, "RESIDUAL_TOL", 1e-300)
         with pytest.raises(NoConvergence) as info:
-            shift_invert_eigs(A, 1.6, 2, tol=1e-300)
+            shift_invert_eigs(A, 1.6, 2)
         assert "Krylov cap" in str(info.value)
         assert "after 3 solves" in str(info.value)
         assert info.value.max_iter == 3
         assert np.isfinite(info.value.best_residual)
         assert info.value.best_residual >= 0.0
 
-    def test_krylov_cap_after_the_basis_grows(self):
+    def test_krylov_cap_after_the_basis_grows(self, monkeypatch):
         # the basis starts at K + 1 = 9 rows and doubles twice to reach the
         # cap of 30 vectors; the cap exit still counts every solve
+        monkeypatch.setattr(linalg, "RESIDUAL_TOL", 1e-300)
         with pytest.raises(NoConvergence) as info:
-            shift_invert_eigs(laplacian_1d(30, 1.0 / 31.0), 9.0, 2,
-                              tol=1e-300)
+            shift_invert_eigs(laplacian_1d(30, 1.0 / 31.0), 9.0, 2)
         assert "Krylov cap of 30 vectors after 30 solves" in str(info.value)
         assert info.value.max_iter == 30
 
-    def test_no_convergence_default_text_names_no_budget(self):
-        # sweep rows built from (count, residual) alone still read well
-        err = NoConvergence(17, 1e-3)
+    def test_no_convergence_message_is_its_reason(self):
+        # every raise names the limit it reached; there is no default text
+        err = NoConvergence(17, 1e-3, "stub limit reached")
         assert (err.max_iter, err.best_residual) == (17, 1e-3)
-        assert str(err) == "no convergence after 17 steps (best residual " \
-            "1.000e-03)"
+        assert str(err) == "stub limit reached"
+        with pytest.raises(TypeError):
+            NoConvergence(17, 1e-3)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_measures_only_the_wanted_ritz_vectors(self, monkeypatch, m):
@@ -472,8 +491,8 @@ class TestShiftInvert:
 
         monkeypatch.setattr(SparseOperator, "apply", counted_apply)
         monkeypatch.setattr(linalg, "hessenberg_eig", counted_eig)
-        pairs = shift_invert_eigs(laplacian_1d(99, 1.0 / 100.0), 9.0, m,
-                                  tol=1e-11)
+        monkeypatch.setattr(linalg, "RESIDUAL_TOL", 1e-11)
+        pairs = shift_invert_eigs(laplacian_1d(99, 1.0 / 100.0), 9.0, m)
         assert len(pairs) == m and calls["check"] >= 1
         assert calls["apply"] == m * calls["check"]
 
@@ -483,8 +502,6 @@ class TestShiftInvert:
             shift_invert_eigs(A, 0.0, 0)
         with pytest.raises(ValueError):
             shift_invert_eigs(A, 0.0, 3)
-        with pytest.raises(ValueError):
-            shift_invert_eigs(A, 0.0, 1, tol=0.0)
 
 
 class TestEig2x2:
@@ -514,7 +531,8 @@ class TestEig2x2:
     def test_matches_shift_invert(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
-            M = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            M = symmetrized(rng.standard_normal((2, 2))
+                            + 1j * rng.standard_normal((2, 2)))
             direct = sorted(eig2x2(M), key=lambda p: abs(p.eigenvalue - 0.37))
             A = from_dense(M)
             arn = shift_invert_eigs(A, 0.37, 2)
@@ -868,3 +886,62 @@ def test_only_solve_points_walks_a_sweep():
              for call in _walk_calls(fn)}
     assert {name for _, _, name in owned} == {"_solve_point", "track_modes"}
     assert calls == owned
+
+
+def _unpassed_defaults(defs, calls):
+    """`function.parameter` for each parameter with a default in the parsed
+    modules `defs` that no call in the parsed modules `calls` passes, by
+    position, by keyword, or through *args or **kwargs. A call matches by
+    the name it calls, a class name standing for its __init__; a method's
+    first parameter is the instance."""
+    sites = [(getattr(node.func, "id", getattr(node.func, "attr", None)),
+              len(node.args), {kw.arg for kw in node.keywords},
+              any(isinstance(a, ast.Starred) for a in node.args)
+              or any(kw.arg is None for kw in node.keywords))
+             for tree in calls for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    for tree in defs:
+        owner = {fn: cls.name for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for fn in cls.body
+                 if isinstance(fn, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            names = {fn.name, owner[fn] if fn.name == "__init__" else fn.name}
+            pos = fn.args.posonlyargs + fn.args.args
+            first = len(pos) - len(fn.args.defaults)
+            skip = int(fn in owner)
+            wanted = [(i - skip, a.arg) for i, a in enumerate(pos)
+                      if i >= first]
+            wanted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs,
+                                                     fn.args.kw_defaults)
+                       if d is not None]
+            for index, arg in wanted:
+                if not any(name in names and (
+                        spread or arg in keywords
+                        or (index is not None and index < npos))
+                        for name, npos, keywords, spread in sites):
+                    yield f"{fn.name}.{arg}"
+
+
+def test_every_default_is_passed_somewhere():
+    # a default that no program path overrides is an option the program
+    # never varies: it belongs in the body or in a module constant.
+    # cli.main's argv is how tests enter the command line
+    planted_defs = ast.parse(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+        "class C:\n"
+        "    def __init__(self, x, y=0, u=1):\n        pass\n"
+        "    def g(self, z=1):\n        pass\n"
+        "def h(k=1):\n    pass\n")
+    planted_calls = ast.parse("f(0, 5, d=1)\nC(1, 2)\nobj.g(*rest)\n"
+                              "h(**opts)\nf(0, c=1)\nmake()(0, 1, 2, 3)\n")
+    assert list(_unpassed_defaults([planted_defs], [planted_calls])) == [
+        "f.e", "__init__.u"]
+    root = Path(__file__).resolve().parent.parent
+    defs = [ast.parse(path.read_text())
+            for path in sorted((root / "src" / "epmodes").glob("*.py"))]
+    calls = [ast.parse(path.read_text())
+             for top in ("src", "demos", "perfbench")
+             for path in sorted((root / top).rglob("*.py"))]
+    assert set(_unpassed_defaults(defs, calls)) == {"main.argv"}

@@ -181,11 +181,25 @@ class TestGrid:
             assert np.array_equal(g.neighbors[-dx, -dy][nb[on]], on)
 
 
+def _check_rejects_asymmetry(op):
+    """The constructor verifies the transpose closure: one value bent by an
+    ulp, or one off-diagonal entry left out, is rejected."""
+    off = int(np.flatnonzero(op.rows < op.cols)[0])
+    bent = op.vals.copy()
+    bent[off] = complex(np.nextafter(bent[off].real, np.inf), bent[off].imag)
+    with pytest.raises(ValueError, match="values are not symmetric"):
+        CavityOperator(op.geometry, op.rows, op.cols, bent)
+    keep = np.arange(op.vals.size) != off
+    with pytest.raises(ValueError, match="pattern is not symmetric"):
+        CavityOperator(op.geometry, op.rows[keep], op.cols[keep],
+                       op.vals[keep])
+
+
 class TestAssembly:
     def test_closed_is_real_symmetric(self):
         s = CavitySpec(epsilon=0.12, mean_radius=1.0, h=0.05)
         op = assemble_helmholtz(build_ellipse_grid(s), s)
-        assert op.symmetric
+        _check_rejects_asymmetry(op)
         assert np.all(op.vals.imag == 0.0)
 
     def test_open_eta_zero_identical_to_closed(self):
@@ -202,7 +216,7 @@ class TestAssembly:
         s = CavitySpec(epsilon=0.12, mean_radius=1.0, h=0.05, variant="open",
                        cap_strength=4.0, cap_width=0.2)
         op = assemble_helmholtz(build_ellipse_grid(s), s)
-        assert op.symmetric  # constructor verifies the transpose closure
+        _check_rejects_asymmetry(op)
         assert np.abs(op.vals.imag).max() > 0.0
 
     def test_spec_must_be_the_grids(self):
@@ -254,7 +268,7 @@ def _full_grid_helmholtz(g, spec):
     if spec.variant == "open" and spec.cap_strength > 0.0:
         diag = diag - 1j * spec.cap_strength * g.cap_profile
     return SparseOperator(g.npts, np.concatenate(rows), np.concatenate(cols),
-                          np.concatenate([diag] + vals), symmetric=True)
+                          np.concatenate([diag] + vals))
 
 
 def _full_grid_current(m):
@@ -296,7 +310,7 @@ class TestNeighborsMatchFullGridShifts:
         rng = np.random.default_rng(5)
         raw = rng.standard_normal(g.npts) + 1j * rng.standard_normal(g.npts)
         m = Mode(g, raw / (np.sqrt((np.abs(raw) ** 2).sum()) * g.h), 1.0,
-                 "cavity_open")
+                 f"cavity_{g.spec.variant}")
         j = current_field(m)
         jx, jy = _full_grid_current(m)
         assert j.jx.tobytes() == jx.tobytes()
@@ -394,6 +408,26 @@ class TestCavityModes:
         with pytest.raises(ValueError, match="normalized"):
             Mode(None, np.array([1.0, 1.0], dtype=complex), 1.0, "two_level")
 
+    @pytest.mark.parametrize("variant, label", [
+        ("closed", "cavity_open"), (None, "cavity_closed"),
+        ("closed", "two_level"), ("open", "cavity_closed"),
+        (None, "cavity_x")])
+    def test_provenance_follows_geometry(self, variant, label):
+        # no geometry is two_level, a grid is cavity_<its variant>; any
+        # other label would write an EPMODE file that reads back wrong
+        if variant is None:
+            geom, psi = None, np.array([1.0, 0.0], dtype=complex)
+        else:
+            geom = _cavity(0.1, 0.1, 1.0 if variant == "open" else 0.0) \
+                .geometry
+            psi = np.full(geom.npts, 1.0 / (np.sqrt(geom.npts) * geom.h),
+                          dtype=complex)
+        with pytest.raises(InvalidSetting, match="provenance") as err:
+            Mode(geom, psi, 1.0, label)
+        assert err.value.field == "provenance"
+        right = "two_level" if geom is None else f"cavity_{variant}"
+        assert Mode(geom, psi, 1.0, right).provenance == right
+
 
 def _cavity(eps, h, eta=0.0):
     spec = CavitySpec(epsilon=eps, mean_radius=1.0, h=h,
@@ -455,7 +489,7 @@ class TestParityBasis:
     def test_reduced_blocks_are_narrow_and_diagonal(self, eps, h):
         op = _cavity(eps, h, 8.0)
         red = parity_reduce(op)
-        assert red.symmetric and red.n == op.n
+        assert red.n == op.n  # its constructor checked the symmetry
         b = op.geometry.spec.semi_axes[1]
         assert max(red.bandwidths()) <= int(np.floor(b / h)) + 2
         block, weight = op.geometry.parity_basis
@@ -478,7 +512,7 @@ class TestParityBasis:
         uniq, inv = np.unique(keys, return_inverse=True)
         vals = np.zeros(uniq.size, dtype=np.complex128)
         np.add.at(vals, inv, (w * op.vals[None, :])[keep])
-        want = SparseOperator(n, uniq // n, uniq % n, vals, symmetric=True)
+        want = SparseOperator(n, uniq // n, uniq % n, vals)
         red = parity_reduce(op)
         assert np.array_equal(red.rows, want.rows)
         assert np.array_equal(red.cols, want.cols)

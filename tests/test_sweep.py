@@ -20,6 +20,7 @@ from epmodes.sweep import (
     SweepConfig,
     SweepRecord,
     anchored_grid,
+    check_analysis,
     check_fields,
     detect_peaks,
     field_series,
@@ -113,6 +114,25 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig("two_level", np.array([0.0, 1.0]), node_cutoff=1.0)
 
+    @pytest.mark.parametrize("model, field, value", [
+        ("two_level", "N_bins", 3.5), ("two_level", "N_bins", np.nan),
+        ("two_level", "N_bins", 64.0), ("cavity", "K_max", np.inf),
+        ("two_level", "K_max", 2.5), ("cavity", "m", 2.5),
+        ("two_level", "m", 2.0), ("cavity", "m", np.nan)])
+    def test_count_setting_must_be_an_integer(self, model, field, value):
+        # a float count passed no range check yet ended the sweep in a
+        # TypeError from the first histogram
+        with pytest.raises(InvalidSetting, match=f"{field} must be an "
+                           "integer") as err:
+            SweepConfig(model, [0.1, 0.2], **{field: value})
+        assert err.value.field == field
+        if field != "m":
+            counts = {"N_bins": 64, "K_max": 8, field: value}
+            with pytest.raises(InvalidSetting) as err:
+                check_analysis(counts["N_bins"], counts["K_max"], (1.0,),
+                               0.0)
+            assert err.value.field == field
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
                              ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("model, setting, field", [
@@ -136,7 +156,7 @@ def lattice_mode(geom, field):
     """A Mode holding field(x, y) sampled on geom's interior points."""
     psi = field(geom.pt_x, geom.pt_y).astype(np.complex128)
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2)) * geom.h
-    return Mode(geom, psi, 8.0 + 0.0j, "cavity_open")
+    return Mode(geom, psi, 8.0 + 0.0j, f"cavity_{geom.spec.variant}")
 
 
 def coordinate_overlaps(prev, nxt):
@@ -405,7 +425,7 @@ class TestErrorRows:
 
         def flaky(params):
             if params.delta == 0.0:
-                raise NoConvergence(17, 1e-3)
+                raise NoConvergence(17, 1e-3, "stub gave up after 17 steps")
             return real(params)
 
         monkeypatch.setattr(sweep_mod, "two_level_modes", flaky)
@@ -414,7 +434,7 @@ class TestErrorRows:
         recs = run_sweep(cfg)
         assert [r.parameter for r in recs] == [-0.2, -0.1, 0.0, 0.1, 0.2]
         bad = recs[2]
-        assert bad.error is not None and "NoConvergence" in bad.error
+        assert bad.error == "NoConvergence: stub gave up after 17 steps"
         assert bad.modes == []
         for r in recs[:2] + recs[3:]:
             assert r.error is None and len(r.modes) == 2
