@@ -12,8 +12,7 @@ unfolded entropy of ln 2 from the two phase atoms at 0 and pi.
 """
 import numpy as np
 
-from epmodes.models import CavitySpec, assemble_helmholtz, build_ellipse_grid
-from epmodes.models import solve_cavity_modes
+from epmodes.models import CavitySpec, build_ellipse_grid, solve_cavity_modes
 from epmodes.sweep import SweepConfig, mode_diagnostics, run_sweep
 
 # disc calibration against the first two Bessel zeros
@@ -21,9 +20,8 @@ J0_1 = 2.404825557695773
 J1_1 = 3.8317059702075125
 
 spec = CavitySpec(0.0, h=0.02)
-grid = build_ellipse_grid(spec)
-print(f"disc at h = {spec.h}: {grid.npts} interior points")
-modes = solve_cavity_modes(assemble_helmholtz(grid, spec), 2.9, 2)
+print(f"disc at h = {spec.h}: {build_ellipse_grid(spec).npts} interior points")
+modes = solve_cavity_modes(spec, 2.9, 2)
 ks = sorted(m.eigen_k.real for m in modes)
 for k, ref in zip(ks, (J0_1, J1_1)):
     print(f"  k = {k:.6f}  exact {ref:.6f}  rel err {abs(k - ref) / ref:.2e}")

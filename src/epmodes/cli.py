@@ -85,11 +85,11 @@ def _cmd_solve(args) -> int:
     os.makedirs(opts["directory"], exist_ok=True)
     records = []
     written = 0
-    for idx, (x, modes, error, _) in enumerate(solve_points(cfg)):
-        records.append(SweepRecord(x, [], error))
-        for j, md in enumerate(modes):
+    for idx, point in enumerate(solve_points(cfg)):
+        records.append(SweepRecord(point.parameter, [], point.error))
+        for j, md in enumerate(point.modes):
             path = os.path.join(opts["directory"], f"mode_p{idx:04d}_m{j}.ep")
-            write_mode_file(md, path, parameter=x)
+            write_mode_file(md, path, parameter=point.parameter)
             written += 1
     status = _report_failures(records)
     if status:

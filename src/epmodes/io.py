@@ -378,6 +378,8 @@ def read_mode_file(path):
         if ": " not in line:
             raise ParseError(ln, f"expected 'key: value', got {line!r}")
         key, _, value = line.partition(": ")
+        if key in header:
+            raise ParseError(ln, f"duplicate key '{key}'")
         header[key] = value
         line_of[key] = ln
     if not blank:

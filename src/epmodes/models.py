@@ -201,6 +201,12 @@ class Mode:
         if self.provenance != want:
             raise InvalidSetting("provenance", f"provenance must be "
                                  f"{want!r}, not {self.provenance!r}")
+        if np.ndim(self.psi) != 1:
+            raise ValueError(f"psi must be 1-D, not of shape "
+                             f"{np.shape(self.psi)}")
+        if self.geometry is not None and len(self.psi) != self.geometry.npts:
+            raise ValueError(f"psi has {len(self.psi)} entries, its grid "
+                             f"{self.geometry.npts} points")
         total = float(norm(self.psi) * self.h) ** 2
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"mode not intensity-normalized: {total!r}")
@@ -226,16 +232,7 @@ def build_ellipse_grid(spec: CavitySpec) -> GridGeometry:
     return GridGeometry(spec)
 
 
-class CavityOperator(SparseOperator):
-    """Complex-symmetric SparseOperator on the interior points of `geometry`,
-    which it keeps (with its spec) for turning eigenvectors into Modes."""
-
-    def __init__(self, geometry: GridGeometry, rows, cols, vals):
-        super().__init__(geometry.npts, rows, cols, vals)
-        self.geometry = geometry
-
-
-def assemble_helmholtz(geom: GridGeometry, spec: CavitySpec) -> CavityOperator:
+def assemble_helmholtz(geom: GridGeometry, spec: CavitySpec) -> SparseOperator:
     """5-point -laplacian/h^2 on interior points, second-order Dirichlet wall.
 
     A point whose +-x or +-y neighbor lies outside the ellipse sees the wall
@@ -271,18 +268,18 @@ def assemble_helmholtz(geom: GridGeometry, spec: CavitySpec) -> CavityOperator:
         vals.append(np.full(int(inside.sum()), -1.0 / h2))
     if spec.variant == "open" and spec.cap_strength > 0.0:
         diag = diag - 1j * spec.cap_strength * geom.cap_profile
-    return CavityOperator(geom, np.concatenate(rows), np.concatenate(cols),
-                          np.concatenate([diag] + vals))
+    return SparseOperator(geom.npts, np.concatenate(rows),
+                          np.concatenate(cols), np.concatenate([diag] + vals))
 
 
-def parity_reduce(op: CavityOperator) -> SparseOperator:
+def parity_reduce(op: SparseOperator, geom: GridGeometry) -> SparseOperator:
     """Q^T A Q in the geometry's `parity_basis`: four diagonal blocks. A is
     checked to be bitwise invariant under both reflections, the condition
     for the cross-sector blocks to vanish. Each entry sums equal terms
     (w_r w_c) v, so the result is exactly complex symmetric. Only the
     representative row (X >= 0, Y >= 0) of each orbit O_r is read, its
     terms scaled by |O_r| in {1, 2, 4}: 2 or 4 equal terms sum exactly."""
-    geom, n = op.geometry, op.n
+    n = op.n
     for mirror in (geom.index_of[::-1, :], geom.index_of[:, ::-1]):
         image = mirror[geom.interior_mask]
         key = image[op.rows] * n + image[op.cols]
@@ -305,27 +302,25 @@ def parity_reduce(op: CavityOperator) -> SparseOperator:
     return SparseOperator(n, uniq // n, uniq % n, vals)
 
 
-def solve_cavity_modes(op: CavityOperator, k_target: float, m: int
+def solve_cavity_modes(spec: CavitySpec, k_target: float, m: int
                        ) -> list[Mode]:
-    """m modes with k nearest k_target, via shift-invert at shift = k_target^2.
+    """m modes of `spec` with k nearest k_target, shift-invert at k_target^2.
 
-    The operator must come from assemble_helmholtz: the modes live on its
-    geometry, and the geometry's spec names their variant. One Arnoldi runs
-    on `parity_reduce(op)`; each Ritz vector y maps back as psi = Q y / h,
-    with its residual measured on op. Q is real orthogonal, so psi keeps the
+    One Arnoldi runs on `parity_reduce(A, grid)`, A the Helmholtz operator
+    on the spec's grid; each Ritz vector y maps back as psi = Q y / h, with
+    its residual measured on A. Q is real orthogonal, so psi keeps the
     solver's gauge of y: unit intensity and sum psi^2 real positive.
     k = sqrt(lambda) on the principal branch (Re k >= 0); for absorbing
     cavities Im lambda < 0 puts Im k < 0.
     """
     if not k_target > 0:
         raise ValueError("k_target must be positive")
-    if not isinstance(op, CavityOperator):
-        raise ValueError("operator lacks geometry; use assemble_helmholtz")
-    if m > op.n:  # a config's m, checkable only once the grid is built
+    geom = build_ellipse_grid(spec)
+    if m > geom.npts:  # a config's m, checkable only once the grid is built
         raise InvalidSetting("m", "m exceeds operator dimension")
-    geom = op.geometry
+    op = assemble_helmholtz(geom, spec)
     shift = k_target * k_target
-    pairs = shift_invert_eigs(parity_reduce(op), shift, m)
+    pairs = shift_invert_eigs(parity_reduce(op, geom), shift, m)
     block, weight = geom.parity_basis
     provenance = provenance_of(geom)
     out = []

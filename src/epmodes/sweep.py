@@ -10,7 +10,7 @@ argmax along the sweep, raw and refined to sub-grid precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -22,8 +22,6 @@ from .models import (
     GridTooCoarse,
     InvalidSetting,
     TwoLevelParams,
-    assemble_helmholtz,
-    build_ellipse_grid,
     check_finite,
     solve_cavity_modes,
     two_level_modes,
@@ -48,8 +46,10 @@ def anchored_grid(start: float, stop: float, step: float) -> np.ndarray:
         raise ValueError("step must be positive")
     if stop < start:
         raise ValueError("stop must be >= start")
-    k0 = int(round(start / step))
-    q = stop / step
+    q0, q = start / step, stop / step
+    if not np.all(np.isfinite((q0, q))):
+        raise ValueError("start / step and stop / step must be finite")
+    k0 = int(round(q0))
     n = int(np.floor(q + max(1e-9, abs(q) * 1e-12))) - k0 + 1
     if n < 1:
         raise ValueError("grid is empty")
@@ -304,19 +304,30 @@ def track_modes(prev: list, nxt: list) -> tuple:
 def _solve_point(cfg: SweepConfig, x: float) -> list:
     if cfg.model == "two_level":
         return two_level_modes(TwoLevelParams(x, cfg.g, cfg.gamma))
-    spec = cfg.spec(x)
-    op = assemble_helmholtz(build_ellipse_grid(spec), spec)
-    return solve_cavity_modes(op, cfg.k_target, cfg.m)
+    return solve_cavity_modes(cfg.spec(x), cfg.k_target, cfg.m)
+
+
+@dataclass(frozen=True)
+class SolvedPoint:
+    """One point of `solve_points`: its modes, or none and an error naming
+    the cause. `margin` is `track_modes`' lead, inf at the first solved
+    point and at a failed one; an ambiguous point keeps the solver's order,
+    any other its modes' branch order."""
+    parameter: float
+    modes: list
+    error: str | None
+    margin: float
+
+    @property
+    def ambiguous(self) -> bool:
+        return self.margin < 1e-6
 
 
 def solve_points(cfg: SweepConfig):
-    """Yield (x, modes, error, ambiguous) for each grid point, in grid order.
-
-    The modes come in branch order: each point is matched to the last
-    successful point by `track_modes`, and a margin under 1e-6 keeps the
-    solver's order and flags the point ambiguous. A solver failure yields
-    no modes and an error naming its cause, and the walk keeps going and
-    tracks across the gap: shifts near a degeneracy can be close to
+    """Yield a SolvedPoint for each grid point, in grid order, its modes
+    matched to the last solved point's by `track_modes`. A solver failure
+    yields no modes and an error naming its cause, and the walk keeps going
+    and tracks across the gap: shifts near a degeneracy can be close to
     singular, and that neighborhood is exactly the region under study.
     """
     prev = None
@@ -324,25 +335,25 @@ def solve_points(cfg: SweepConfig):
         try:
             modes = _solve_point(cfg, x)
         except (SingularShift, NoConvergence, GridTooCoarse) as exc:
-            yield x, [], f"{type(exc).__name__}: {exc}", False
+            yield SolvedPoint(x, [], f"{type(exc).__name__}: {exc}", np.inf)
             continue
-        ambiguous = False
-        if prev is not None:
-            order, margin = track_modes(prev, modes)
-            ambiguous = margin < 1e-6  # identity fallback, row flagged
-            if not ambiguous:
-                modes = [modes[int(j)] for j in order]
-        prev = modes
-        yield x, modes, None, ambiguous
+        order, margin = (range(len(modes)), np.inf) if prev is None \
+            else track_modes(prev, modes)
+        point = SolvedPoint(x, modes, None, margin)
+        if not point.ambiguous:
+            point = replace(point, modes=[modes[int(j)] for j in order])
+        prev = point.modes
+        yield point
 
 
 def run_sweep(cfg: SweepConfig) -> list:
     """One record per point of `solve_points`, in grid order; failed points
     keep their row with its error."""
-    return [SweepRecord(x, [mode_diagnostics(md, cfg.N_bins, cfg.K_max,
-                                             cfg.alphas, cfg.node_cutoff)
-                            for md in modes], error, ambiguous)
-            for x, modes, error, ambiguous in solve_points(cfg)]
+    return [SweepRecord(p.parameter,
+                        [mode_diagnostics(md, cfg.N_bins, cfg.K_max,
+                                          cfg.alphas, cfg.node_cutoff)
+                         for md in p.modes], p.error, p.ambiguous)
+            for p in solve_points(cfg)]
 
 
 @dataclass(frozen=True)

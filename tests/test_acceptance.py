@@ -14,8 +14,8 @@ import pytest
 from epmodes.circstats import extract_phases, fold_sum, resultant
 from epmodes.entropy import HistogramPMF, chi_squared, renyi, shannon
 from epmodes.io import write_sweep_csv
-from epmodes.models import (CavitySpec, Mode, assemble_helmholtz,
-                            build_ellipse_grid, solve_cavity_modes)
+from epmodes.models import (CavitySpec, Mode, build_ellipse_grid,
+                            solve_cavity_modes)
 from epmodes.circstats import current_field
 from epmodes.nonorth import petermann, phase_rigidity_cs
 from epmodes.sweep import SweepConfig, anchored_grid, field_series, run_sweep
@@ -210,9 +210,8 @@ def test_criterion_5(acceptance_log):
     t0 = time.perf_counter()
     errors = {}
     for h in (0.02, 0.01):
-        spec = CavitySpec(0.0, h=h)
-        op = assemble_helmholtz(build_ellipse_grid(spec), spec)
-        ks = sorted(md.eigen_k.real for md in solve_cavity_modes(op, 2.9, 2))
+        ks = sorted(md.eigen_k.real
+                    for md in solve_cavity_modes(CavitySpec(0.0, h=h), 2.9, 2))
         errors[h] = (abs(ks[0] - J0_1) / J0_1, abs(ks[1] - J1_1) / J1_1)
     ratios = (errors[0.02][0] / errors[0.01][0],
               errors[0.02][1] / errors[0.01][1])
@@ -297,10 +296,8 @@ def test_criterion_7(acceptance_log):
     """Probability current: zero for closed modes, kappa A^2 for a plane
     wave, < 10 s."""
     t0 = time.perf_counter()
-    spec = CavitySpec(0.1, h=0.04)
-    op = assemble_helmholtz(build_ellipse_grid(spec), spec)
     worst_closed = 0.0
-    for mode in solve_cavity_modes(op, 2.5, 2):
+    for mode in solve_cavity_modes(CavitySpec(0.1, h=0.04), 2.5, 2):
         cf = current_field(mode)
         bound = 1e-8 * float(np.max(np.abs(mode.psi) ** 2)) / mode.h
         worst_closed = max(worst_closed,

@@ -8,7 +8,7 @@ import pytest
 
 from epmodes.models import (
     Mode, TwoLevelParams, CavitySpec, two_level_modes,
-    build_ellipse_grid, assemble_helmholtz, solve_cavity_modes,
+    build_ellipse_grid, solve_cavity_modes,
 )
 from epmodes.circstats import (
     WeightedPhaseSet,
@@ -218,8 +218,7 @@ class TestLobeImbalance:
 @pytest.fixture(scope="module")
 def closed_disc_mode():
     s = CavitySpec(epsilon=0.0, mean_radius=1.0, h=0.04)
-    op = assemble_helmholtz(build_ellipse_grid(s), s)
-    return solve_cavity_modes(op, 2.4, 1)[0]
+    return solve_cavity_modes(s, 2.4, 1)[0]
 
 
 class TestCurrentField:

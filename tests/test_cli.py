@@ -153,7 +153,7 @@ class TestSweepCommand:
         "model.g=inf", "model.gamma=nan", "model.cap_strength=inf",
         "model.mean_radius=inf", "model.h=inf", "model.cap_width=inf",
         "model.k_target=inf", "sweep.delta_range=0:inf:0.1",
-        "analysis.alpha=1, inf"])
+        "sweep.delta_range=0:1:1e-320", "analysis.alpha=1, inf"])
     def test_non_finite_setting_exit_code(self, config_path, tmp_path,
                                           capsys, item):
         # rejected before any point is solved, under the key that set it
@@ -209,7 +209,7 @@ class TestSweepCommand:
     def test_fault_inside_a_solve_exit_code(self, tmp_path, capsys,
                                             monkeypatch):
         # a ValueError from inside the solver is no config error
-        def broken(op, k_target, m):
+        def broken(spec, k_target, m):
             raise ValueError("operator is not mirror symmetric")
         monkeypatch.setattr(sweep, "solve_cavity_modes", broken)
         config = tmp_path / "pair.cfg"

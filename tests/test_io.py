@@ -15,8 +15,8 @@ from epmodes.io import (_FIELD_OF_KEY, _SECTIONS, ParseError, csv_columns,
                         parse_config, parse_output_options, read_mode_file,
                         read_sweep_csv, read_text, write_mode_file,
                         write_sweep_csv)
-from epmodes.models import CavitySpec, Mode, assemble_helmholtz, \
-    build_ellipse_grid, solve_cavity_modes, two_level_modes, TwoLevelParams
+from epmodes.models import CavitySpec, Mode, solve_cavity_modes, \
+    two_level_modes, TwoLevelParams
 from epmodes.models import InvalidSetting
 from epmodes.sweep import (ModeDiagnostics, SweepConfig, SweepRecord,
                            field_series, mode_diagnostics, run_sweep)
@@ -513,9 +513,7 @@ class TestSweepCsv:
 
 @pytest.fixture(scope="module")
 def cavity_mode():
-    spec = CavitySpec(0.1, h=0.05)
-    op = assemble_helmholtz(build_ellipse_grid(spec), spec)
-    return solve_cavity_modes(op, 3.8, 1)[0]
+    return solve_cavity_modes(CavitySpec(0.1, h=0.05), 3.8, 1)[0]
 
 
 class TestModeFile:
@@ -566,6 +564,21 @@ class TestModeFile:
         path.write_text("EPMODE 1\nprovenance: two_level\n\n")
         with pytest.raises(ParseError):
             read_mode_file(path)
+
+    def test_repeated_header_key_names_line(self, tmp_path):
+        # as in a config file: a second value would silently win
+        mode = two_level_modes(TwoLevelParams(0.3, 1.0, 2.0))[0]
+        path = tmp_path / "m.ep"
+        write_mode_file(mode, path, parameter=0.3)
+        lines = path.read_text().splitlines()
+        at = next(i for i, ln in enumerate(lines)
+                  if ln.startswith("residual: ")) + 1
+        lines.insert(at, "residual: 0.5")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="duplicate key 'residual'") \
+                as err:
+            read_mode_file(path)
+        assert err.value.line_number == at + 1
 
     @pytest.mark.parametrize("label", ["cavity_closed", "cavity_open",
                                        "cavity_x"])
@@ -686,8 +699,7 @@ class TestModeFile:
     def test_rows_equal_per_row_reference(self, cavity_mode, tmp_path, kind):
         if kind == "open":
             spec = CavitySpec(0.28, h=0.05, variant="open", cap_strength=8.0)
-            op = assemble_helmholtz(build_ellipse_grid(spec), spec)
-            mode = solve_cavity_modes(op, 6.92, 1)[0]
+            mode = solve_cavity_modes(spec, 6.92, 1)[0]
         elif kind == "closed":
             mode = cavity_mode
         else:

@@ -269,7 +269,8 @@ class TestBandedLU:
             spec = models.CavitySpec(0.2798, h=h, variant="open",
                                      cap_strength=8.0, cap_width=0.2)
             geom = models.build_ellipse_grid(spec)
-            A = models.parity_reduce(models.assemble_helmholtz(geom, spec))
+            A = models.parity_reduce(models.assemble_helmholtz(geom, spec),
+                                     geom)
             shift = 6.92 ** 2
             lu = lu_factor(A, shift)
             got = self.lane_lengths(lu)
@@ -389,8 +390,8 @@ class TestShiftInvert:
         # a real operator, and a complex-symmetric one: the parity-reduced
         # open cavity, whose modes are not rotated real vectors
         spec = CavitySpec(0.1, h=0.1, variant="open", cap_strength=5.0)
-        cavity = parity_reduce(assemble_helmholtz(build_ellipse_grid(spec),
-                                                  spec))
+        geom = build_ellipse_grid(spec)
+        cavity = parity_reduce(assemble_helmholtz(geom, spec), geom)
         for A, shift, real in ((laplacian_1d(40, 1.0 / 41.0), 50.0, True),
                                (cavity, 2.4 ** 2, False)):
             for p in shift_invert_eigs(A, shift, 3):
@@ -569,10 +570,11 @@ def test_cavity_solve_allocates_only_what_it_keeps(monkeypatch):
     # criterion 6's h = 1/50 point (n = 7125, four lanes of kl = ku = 35);
     # tracemalloc counts numpy's data buffers
     spec = CavitySpec(0.300, h=0.02, variant="open", cap_strength=1.0)
-    op = assemble_helmholtz(build_ellipse_grid(spec), spec)
-    op.geometry.parity_basis  # cached on the geometry, not the reduction's
+    geom = build_ellipse_grid(spec)
+    op = assemble_helmholtz(geom, spec)
+    geom.parity_basis  # cached on the geometry, not the reduction's
     shift = 8.015 ** 2
-    red, peak = _traced_peak(parity_reduce, op)
+    red, peak = _traced_peak(parity_reduce, op, geom)
     # the result's sort and symmetry check take about 100 B per entry of A
     # and one contribution per entry of a representative row about 90 B;
     # the 4 nnz contributions of every row would take about 4x that
@@ -611,7 +613,8 @@ def test_factor_is_the_same_under_a_profiler(setter):
     # a profiler or tracer holds the bound buf.resize, one more reference
     # to the factor's buffer: the shrink must not count it as a view
     spec = CavitySpec(0.300, h=0.02, variant="open", cap_strength=1.0)
-    red = parity_reduce(assemble_helmholtz(build_ellipse_grid(spec), spec))
+    geom = build_ellipse_grid(spec)
+    red = parity_reduce(assemble_helmholtz(geom, spec), geom)
     want = lu_factor(red, 8.015 ** 2)
     got = _under(setter, lu_factor, red, 8.015 ** 2)
     for name in ("_T", "_L", "_Uinv", "_perm"):

@@ -26,7 +26,6 @@ from epmodes.models import (
     assemble_helmholtz,
     parity_reduce,
     solve_cavity_modes,
-    CavityOperator,
 )
 
 J0_1 = 2.404825557695773     # first zero of J0
@@ -188,11 +187,10 @@ def _check_rejects_asymmetry(op):
     bent = op.vals.copy()
     bent[off] = complex(np.nextafter(bent[off].real, np.inf), bent[off].imag)
     with pytest.raises(ValueError, match="values are not symmetric"):
-        CavityOperator(op.geometry, op.rows, op.cols, bent)
+        SparseOperator(op.n, op.rows, op.cols, bent)
     keep = np.arange(op.vals.size) != off
     with pytest.raises(ValueError, match="pattern is not symmetric"):
-        CavityOperator(op.geometry, op.rows[keep], op.cols[keep],
-                       op.vals[keep])
+        SparseOperator(op.n, op.rows[keep], op.cols[keep], op.vals[keep])
 
 
 class TestAssembly:
@@ -299,14 +297,14 @@ class TestNeighborsMatchFullGridShifts:
     shifts it replaced, in the stencil and in the current."""
 
     def test_helmholtz(self, eps, h, eta):
-        op = _cavity(eps, h, eta)
-        want = _full_grid_helmholtz(op.geometry, op.geometry.spec)
+        op, g = _cavity(eps, h, eta)
+        want = _full_grid_helmholtz(g, g.spec)
         assert np.array_equal(op.rows, want.rows)
         assert np.array_equal(op.cols, want.cols)
         assert op.vals.tobytes() == want.vals.tobytes()
 
     def test_current(self, eps, h, eta):
-        g = _cavity(eps, h, eta).geometry
+        _, g = _cavity(eps, h, eta)
         rng = np.random.default_rng(5)
         raw = rng.standard_normal(g.npts) + 1j * rng.standard_normal(g.npts)
         m = Mode(g, raw / (np.sqrt((np.abs(raw) ** 2).sum()) * g.h), 1.0,
@@ -319,15 +317,12 @@ class TestNeighborsMatchFullGridShifts:
 
 @pytest.fixture(scope="module")
 def disc_h01():
-    s = CavitySpec(epsilon=0.0, mean_radius=1.0, h=0.01)
-    g = build_ellipse_grid(s)
-    return assemble_helmholtz(g, s), s
+    return CavitySpec(epsilon=0.0, mean_radius=1.0, h=0.01)
 
 
 class TestCavityModes:
     def test_lowest_disc_mode(self, disc_h01):
-        op, _ = disc_h01
-        mode = solve_cavity_modes(op, 2.4, 1)[0]
+        mode = solve_cavity_modes(disc_h01, 2.4, 1)[0]
         k = mode.eigen_k
         assert abs(k.real - J0_1) / J0_1 < 0.005
         assert abs(k.imag) <= 1e-10 * abs(k)
@@ -339,16 +334,14 @@ class TestCavityModes:
         assert mode.provenance == "cavity_closed"
 
     def test_second_j0_mode(self, disc_h01):
-        op, _ = disc_h01
-        mode = solve_cavity_modes(op, 5.52, 1)[0]
+        mode = solve_cavity_modes(disc_h01, 5.52, 1)[0]
         assert abs(mode.eigen_k.real - J0_2) / J0_2 < 0.005
 
     def test_boundary_error_shrinks_under_refinement(self):
         errs = []
         for h in (0.04, 0.02):
             s = CavitySpec(epsilon=0.0, mean_radius=1.0, h=h)
-            op = assemble_helmholtz(build_ellipse_grid(s), s)
-            k = solve_cavity_modes(op, 2.4, 1)[0].eigen_k.real
+            k = solve_cavity_modes(s, 2.4, 1)[0].eigen_k.real
             errs.append(abs(k - J0_1) / J0_1)
         # halving must shrink the error; the second-order wall gives ~4x
         # here (criterion 5 pins >= 3x at h = 1/50 -> 1/100)
@@ -357,8 +350,7 @@ class TestCavityModes:
     def test_open_modes_decay(self):
         s = CavitySpec(epsilon=0.0, mean_radius=1.0, h=0.04, variant="open",
                        cap_strength=5.0, cap_width=0.2)
-        op = assemble_helmholtz(build_ellipse_grid(s), s)
-        modes = solve_cavity_modes(op, 2.4, 2)
+        modes = solve_cavity_modes(s, 2.4, 2)
         for m in modes:
             assert m.eigen_k.imag < 0.0
             lam = m.eigen_k**2
@@ -374,8 +366,7 @@ class TestCavityModes:
         # start vectors keep the Krylov space, the QR and the Ritz vectors
         # real, the degenerate disc pair (eps = 0, J1) included
         s = CavitySpec(epsilon=eps, mean_radius=1.0, h=0.05)
-        op = assemble_helmholtz(build_ellipse_grid(s), s)
-        for m in solve_cavity_modes(op, k, 2):
+        for m in solve_cavity_modes(s, k, 2):
             assert m.eigen_k.imag == 0.0
             assert not m.psi.imag.any()
 
@@ -383,7 +374,7 @@ class TestCavityModes:
         s = CavitySpec(epsilon=0.1, mean_radius=1.0, h=0.04, variant="open",
                        cap_strength=5.0, cap_width=0.2)
         op = assemble_helmholtz(build_ellipse_grid(s), s)
-        m = solve_cavity_modes(op, 2.4, 1)[0]
+        m = solve_cavity_modes(s, 2.4, 1)[0]
         v = m.psi * m.h  # back to unit norm
         At = SparseOperator(op.n, op.cols, op.rows, op.vals)
         lam = m.eigen_k**2
@@ -392,21 +383,28 @@ class TestCavityModes:
 
     def test_intensity_normalization(self):
         s = CavitySpec(epsilon=0.0, mean_radius=1.0, h=0.04)
-        op = assemble_helmholtz(build_ellipse_grid(s), s)
-        m = solve_cavity_modes(op, 2.4, 1)[0]
+        m = solve_cavity_modes(s, 2.4, 1)[0]
         assert abs((np.abs(m.psi) ** 2).sum() * m.h**2 - 1.0) < 1e-10
 
     def test_validation(self, disc_h01):
-        op, _ = disc_h01
         with pytest.raises(ValueError):
-            solve_cavity_modes(op, -1.0, 1)
-        bare = SparseOperator(2, [0, 1], [0, 1], [1.0, 2.0])
-        with pytest.raises(ValueError, match="geometry"):
-            solve_cavity_modes(bare, 1.0, 1)
+            solve_cavity_modes(disc_h01, -1.0, 1)
 
     def test_mode_norm_enforced(self):
         with pytest.raises(ValueError, match="normalized"):
             Mode(None, np.array([1.0, 1.0], dtype=complex), 1.0, "two_level")
+
+    def test_mode_shape_enforced(self):
+        # a psi off its grid's points would write an EPMODE file whose rows
+        # zip the grid's coordinates with too few values
+        geom = build_ellipse_grid(_spec(0.1, 0.1))
+        assert geom.npts == 305
+        psi = np.full(300, 1.0 / (np.sqrt(300) * geom.h), dtype=complex)
+        with pytest.raises(ValueError, match="300 entries, its grid 305"):
+            Mode(geom, psi, 1.0, "cavity_closed")
+        square = np.full((2, 2), 0.5, dtype=complex)
+        with pytest.raises(ValueError, match=r"1-D, not of shape \(2, 2\)"):
+            Mode(None, square, 1.0, "two_level")
 
     @pytest.mark.parametrize("variant, label", [
         ("closed", "cavity_open"), (None, "cavity_closed"),
@@ -418,8 +416,8 @@ class TestCavityModes:
         if variant is None:
             geom, psi = None, np.array([1.0, 0.0], dtype=complex)
         else:
-            geom = _cavity(0.1, 0.1, 1.0 if variant == "open" else 0.0) \
-                .geometry
+            geom = build_ellipse_grid(
+                _spec(0.1, 0.1, 1.0 if variant == "open" else 0.0))
             psi = np.full(geom.npts, 1.0 / (np.sqrt(geom.npts) * geom.h),
                           dtype=complex)
         with pytest.raises(InvalidSetting, match="provenance") as err:
@@ -429,11 +427,16 @@ class TestCavityModes:
         assert Mode(geom, psi, 1.0, right).provenance == right
 
 
-def _cavity(eps, h, eta=0.0):
-    spec = CavitySpec(epsilon=eps, mean_radius=1.0, h=h,
+def _spec(eps, h, eta=0.0):
+    return CavitySpec(epsilon=eps, mean_radius=1.0, h=h,
                       variant="open" if eta else "closed",
                       cap_strength=eta, cap_width=0.2)
-    return assemble_helmholtz(build_ellipse_grid(spec), spec)
+
+
+def _cavity(eps, h, eta=0.0):
+    """(operator, grid) of the cavity _spec(eps, h, eta)."""
+    g = build_ellipse_grid(_spec(eps, h, eta))
+    return assemble_helmholtz(g, g.spec), g
 
 
 def _basis_matrix(g):
@@ -460,8 +463,7 @@ class TestParityBasis:
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.28, 0.3])
     @pytest.mark.parametrize("eta", [0.0, 8.0])
     def test_operator_is_bitwise_mirror_invariant(self, eps, h, eta):
-        op = _cavity(eps, h, eta)
-        g = op.geometry
+        op, g = _cavity(eps, h, eta)
         where = {(x, y): i for i, (x, y) in
                  enumerate(zip(g.pt_x.tolist(), g.pt_y.tolist()))}
         for sx, sy in ((-1.0, 1.0), (1.0, -1.0)):
@@ -476,7 +478,7 @@ class TestParityBasis:
 
     @pytest.mark.parametrize("eps", [0.0, 0.13])
     def test_basis_is_orthogonal(self, eps):
-        g = _cavity(eps, 0.1).geometry
+        _, g = _cavity(eps, 0.1)
         Q = _basis_matrix(g)
         y = np.random.default_rng(7).standard_normal(g.npts)
         assert abs(np.sqrt((Q @ y) @ (Q @ y)) - np.sqrt(y @ y)) \
@@ -487,12 +489,12 @@ class TestParityBasis:
     @pytest.mark.parametrize("h", [0.1, 0.02])
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.28, 0.3])
     def test_reduced_blocks_are_narrow_and_diagonal(self, eps, h):
-        op = _cavity(eps, h, 8.0)
-        red = parity_reduce(op)
+        op, g = _cavity(eps, h, 8.0)
+        red = parity_reduce(op, g)
         assert red.n == op.n  # its constructor checked the symmetry
-        b = op.geometry.spec.semi_axes[1]
+        b = g.spec.semi_axes[1]
         assert max(red.bandwidths()) <= int(np.floor(b / h)) + 2
-        block, weight = op.geometry.parity_basis
+        block, weight = g.parity_basis
         sector = np.zeros(op.n, dtype=np.int64)
         for s in range(4):
             sector[block[s, weight[s] != 0.0]] = s
@@ -503,9 +505,9 @@ class TestParityBasis:
     @pytest.mark.parametrize("eta", [0.0, 1.0, 8.0])
     def test_representative_rows_reduce_bit_for_bit(self, eps, h, eta):
         # reference: every entry of A in every sector, summed term by term
-        op = _cavity(eps, h, eta)
+        op, g = _cavity(eps, h, eta)
         n = op.n
-        block, weight = op.geometry.parity_basis
+        block, weight = g.parity_basis
         w = weight[:, op.rows] * weight[:, op.cols]
         keep = w != 0.0
         keys = (block[:, op.rows] * n + block[:, op.cols])[keep]
@@ -513,28 +515,28 @@ class TestParityBasis:
         vals = np.zeros(uniq.size, dtype=np.complex128)
         np.add.at(vals, inv, (w * op.vals[None, :])[keep])
         want = SparseOperator(n, uniq // n, uniq % n, vals)
-        red = parity_reduce(op)
+        red = parity_reduce(op, g)
         assert np.array_equal(red.rows, want.rows)
         assert np.array_equal(red.cols, want.cols)
         assert red.vals.tobytes() == want.vals.tobytes()
 
     def test_asymmetric_operator_rejected(self):
-        op = _cavity(0.1, 0.1, 8.0)
+        op, g = _cavity(0.1, 0.1, 8.0)
         # one ulp on one diagonal entry: the check has no tolerance
         vals = op.vals.copy()
         first = int(np.nonzero(op.rows == op.cols)[0][0])
         vals[first] = complex(np.nextafter(vals[first].real, np.inf),
                               vals[first].imag)
-        bent = CavityOperator(op.geometry, op.rows, op.cols, vals)
+        bent = SparseOperator(op.n, op.rows, op.cols, vals)
         with pytest.raises(ValueError, match="mirror"):
-            parity_reduce(bent)
+            parity_reduce(bent, g)
 
     @pytest.mark.parametrize("eps, eta, k", [(0.28, 8.0, 6.92),
                                              (0.300, 1.0, 8.015),
                                              (0.1, 0.0, 2.4)])
     def test_matches_unreduced_solve(self, eps, eta, k):
-        op = _cavity(eps, 0.02, eta)
-        modes = solve_cavity_modes(op, k, 2)
+        op, g = _cavity(eps, 0.02, eta)
+        modes = solve_cavity_modes(g.spec, k, 2)
         oracle = shift_invert_eigs(op, k * k, 2)
         for md, q in zip(modes, oracle):
             lam = md.eigen_k ** 2
@@ -550,8 +552,8 @@ class TestParityBasis:
     def test_degenerate_pair_spans_oracle_subspace(self, eta):
         # at eps = 0 the J1 cos/sin pair is degenerate and falls into two
         # sectors: only the eigenvalues and the spanned plane are defined
-        op = _cavity(0.0, 0.04, eta)
-        modes = solve_cavity_modes(op, 3.83, 2)
+        op, g = _cavity(0.0, 0.04, eta)
+        modes = solve_cavity_modes(g.spec, 3.83, 2)
         oracle = shift_invert_eigs(op, 3.83 ** 2, 2)
         got = sorted((md.eigen_k ** 2 for md in modes), key=lambda z: z.real)
         want = sorted((q.eigenvalue for q in oracle), key=lambda z: z.real)

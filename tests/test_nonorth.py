@@ -13,9 +13,7 @@ from epmodes.circstats import (
     WeightedPhaseSet, extract_phases, fold_sum, resultant,
 )
 from epmodes.models import (
-    CavitySpec, TwoLevelParams,
-    assemble_helmholtz, build_ellipse_grid, solve_cavity_modes,
-    two_level_modes,
+    CavitySpec, TwoLevelParams, solve_cavity_modes, two_level_modes,
 )
 from epmodes.nonorth import (
     PETERMANN_CUTOFF,
@@ -112,8 +110,7 @@ class TestPhaseRigidityBiorth:
         # biorthogonal rigidity must reduce to |sum psi^2 / sum |psi|^2|
         spec = CavitySpec(0.1, h=0.04, variant="open",
                           cap_strength=5.0, cap_width=0.2)
-        op = assemble_helmholtz(build_ellipse_grid(spec), spec)
-        m = solve_cavity_modes(op, 2.4, 1)[0]
+        m = solve_cavity_modes(spec, 2.4, 1)[0]
         lhs = phase_rigidity_biorth(m.psi, np.conj(m.psi))
         rhs = abs(phase_rigidity_cs(m))
         assert abs(lhs - rhs) < 1e-12

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from epmodes import sweep as sweep_mod
 from epmodes.linalg import NoConvergence
 from epmodes.models import (
     CavitySpec,
@@ -26,6 +27,7 @@ from epmodes.sweep import (
     field_series,
     mode_diagnostics,
     run_sweep,
+    solve_points,
     track_modes,
 )
 
@@ -68,6 +70,15 @@ class TestAnchoredGrid:
             anchored_grid(0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             anchored_grid(1.0, 0.0, 0.1)
+
+    @pytest.mark.parametrize("args", [(0.0, 1.0, 1e-320),
+                                      (0.0, 1e308, 1e-10)],
+                             ids=["denormal-step", "huge-stop"])
+    def test_overflowing_quotient_rejected(self, args):
+        # start / step or stop / step past the largest double would reach
+        # int(inf), an OverflowError no caller catches
+        with pytest.raises(ValueError, match="step must be finite"):
+            anchored_grid(*args)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
                              ids=["nan", "inf", "-inf"])
@@ -284,6 +295,30 @@ def test_thin_margin_flags_row():
                                                  False]
 
 
+def test_solve_points_margins(monkeypatch):
+    # the first point has no previous point to lead over, and a failed
+    # point no modes to track: both read inf and neither is flagged
+    cfg = SweepConfig("two_level", anchored_grid(-0.01, 0.01, 0.005),
+                      gamma=2.0)
+    points = list(solve_points(cfg))
+    assert [p.parameter for p in points] == [-0.01, -0.005, 0.0, 0.005, 0.01]
+    assert points[0].margin == np.inf
+    assert points[1].margin >= 1e-6 and points[4].margin >= 1e-6
+    assert points[2].margin < 1e-6 and points[3].margin < 1e-6
+    assert [p.ambiguous for p in points] == [False, False, True, True, False]
+
+    def flaky(params):
+        if params.delta == 0.005:
+            raise NoConvergence(9, 1e-3, "stub gave up")
+        return two_level_modes(params)
+
+    monkeypatch.setattr(sweep_mod, "two_level_modes", flaky)
+    failed = list(solve_points(cfg))[3]
+    assert failed.margin == np.inf and not failed.ambiguous
+    assert failed.modes == []
+    assert failed.error == "NoConvergence: stub gave up"
+
+
 @pytest.fixture(scope="module")
 def ep_records():
     cfg = SweepConfig("two_level", anchored_grid(-1.0, 1.0, 0.01),
@@ -420,7 +455,6 @@ class TestRunSweepCavityBaseline:
 
 class TestErrorRows:
     def test_solver_failure_marks_row_and_sweep_continues(self, monkeypatch):
-        import epmodes.sweep as sweep_mod
         real = two_level_modes
 
         def flaky(params):
