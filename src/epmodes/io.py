@@ -292,6 +292,7 @@ def read_sweep_csv(path) -> list:
         param, mode, *diag, ambiguous, error = cells
         try:
             param, mode = float(param), int(mode)
+            check_finite(parameter=param)
             row = None if mode == -1 else diagnostics_from_values(diag, alphas)
             ambiguous = bool(int(ambiguous))
         except ValueError as exc:
@@ -409,6 +410,9 @@ def read_mode_file(path):
     xs, ys, re_psi, im_psi = table.reshape(n, 5)[:, 1:].T
     psi = np.empty(n, dtype=np.complex128)
     psi.real, psi.imag = re_psi, im_psi  # keeps -0.0, unlike re + 1j * im
+    # the line that names each Mode field; psi's is the first data row
+    line_of.update(psi=body_start + 1, eigen_k=line_of.get("eigenvalue"),
+                   residual_norm=line_of.get("residual"))
     try:
         geometry = None
         if any(f.name in header for f in fields(CavitySpec)):
@@ -418,19 +422,19 @@ def read_mode_file(path):
             if geometry.npts != n:
                 raise ParseError(line_of["n"], f"geometry yields "
                                  f"{geometry.npts} points, file has {n}")
-            if not (np.array_equal(geometry.pt_x, xs)
-                    and np.array_equal(geometry.pt_y, ys)):
-                raise ParseError(1, "row coordinates disagree with geometry")
+            off = np.flatnonzero((geometry.pt_x != xs) | (geometry.pt_y != ys))
+            if off.size:
+                raise ParseError(body_start + 1 + int(off[0]),
+                                 "row coordinates disagree with geometry")
         mode = Mode(geometry, psi, value("eigenvalue", _complex_pair),
                     provenance, value("residual"),
-                    bool(value("degenerate", int)))
-    except InvalidSetting as exc:  # a spec field, or the provenance
+                    bool(value("degenerate", ("0", "1").index)))
+        header["parameter"] = value("parameter")
+        check_finite(parameter=header["parameter"])
+    except InvalidSetting as exc:  # a spec or Mode field, or the parameter
         raise ParseError(line_of[exc.field], str(exc)) from None
     except GridTooCoarse as exc:  # too few points at this h
         raise ParseError(line_of["h"], str(exc)) from None
-    except ValueError as exc:  # psi not intensity-normalized
-        raise ParseError(body_start + 1, str(exc)) from None
-    header["parameter"] = value("parameter")
     return mode, header
 
 

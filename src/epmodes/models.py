@@ -202,14 +202,19 @@ class Mode:
             raise InvalidSetting("provenance", f"provenance must be "
                                  f"{want!r}, not {self.provenance!r}")
         if np.ndim(self.psi) != 1:
-            raise ValueError(f"psi must be 1-D, not of shape "
-                             f"{np.shape(self.psi)}")
+            raise InvalidSetting("psi", f"psi must be 1-D, not of shape "
+                                 f"{np.shape(self.psi)}")
         if self.geometry is not None and len(self.psi) != self.geometry.npts:
-            raise ValueError(f"psi has {len(self.psi)} entries, its grid "
-                             f"{self.geometry.npts} points")
+            raise InvalidSetting("psi", f"psi has {len(self.psi)} entries, "
+                                 f"its grid {self.geometry.npts} points")
         total = float(norm(self.psi) * self.h) ** 2
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"mode not intensity-normalized: {total!r}")
+        if not abs(total - 1.0) <= 1e-10:  # a NaN or an inf fails too
+            raise InvalidSetting("psi", f"mode not intensity-normalized: "
+                                 f"{total!r}")
+        check_finite(eigen_k=self.eigen_k, residual_norm=self.residual_norm)
+        if self.residual_norm < 0:
+            raise InvalidSetting("residual_norm",
+                                 "residual_norm must be nonnegative")
 
     @property
     def h(self) -> float:

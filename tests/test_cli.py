@@ -4,12 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epmodes import sweep
 from epmodes.cli import main
 from epmodes.io import (csv_columns, read_mode_file, read_sweep_csv,
-                        write_sweep_csv)
-from epmodes.models import TwoLevelParams, two_level_modes
+                        write_mode_file, write_sweep_csv)
+from epmodes.models import (CavitySpec, TwoLevelParams, solve_cavity_modes,
+                             two_level_modes)
 from epmodes.sweep import mode_diagnostics
 
 CONFIG = """
@@ -440,3 +442,34 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert "FAIL" not in out
+
+
+@pytest.fixture(scope="module")
+def small_mode_file(tmp_path_factory):
+    """A closed-cavity EPMODE file at h = 0.1: 305 data rows."""
+    path = tmp_path_factory.mktemp("small_mode") / "m.ep"
+    mode = solve_cavity_modes(CavitySpec(0.1, h=0.1), 3.8, 1)[0]
+    write_mode_file(mode, path, parameter=0.1)
+    return path
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_one_bad_value_reads_or_is_bad_input(small_mode_file, data):
+    # one header value or row token replaced by a non-finite or an
+    # out-of-range number reads, or is bad input (exit 2): it never ends
+    # in a traceback or in a fault inside analyze (exit 3)
+    lines = small_mode_file.read_text().split("\n")
+    blank = lines.index("")
+    at = data.draw(st.integers(1, blank - 1)
+                   | st.integers(blank + 1, len(lines) - 2))
+    key, sep, value = lines[at].partition(": ") if at < blank \
+        else ("", "", lines[at])
+    tokens = value.split(" ")
+    tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(
+        st.sampled_from(["nan", "inf", "-inf", "-1", "2"]))
+    lines[at] = key + sep + " ".join(tokens)
+    bad = small_mode_file.with_name("bad.ep")
+    bad.write_text("\n".join(lines))
+    assert main(["analyze", str(bad), "--out",
+                 str(bad.with_suffix(".csv"))]) in (0, 2)

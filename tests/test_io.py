@@ -488,6 +488,22 @@ class TestSweepCsv:
             read_sweep_csv(path)
         assert err.value.line_number == 4
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("at", [1, 2, 3])  # mode 0, mode 1, mode -1
+    def test_non_finite_parameter_names_line(self, small_records, tmp_path,
+                                             at, bad):
+        path = tmp_path / "sweep.csv"
+        records = [small_records[0], SweepRecord(0.5, [], "NoConvergence")]
+        write_sweep_csv(records, path, timestamp=False)
+        lines = path.read_text().splitlines()
+        assert [ln.split(",")[1] for ln in lines[1:]] == ["0", "1", "-1"]
+        lines[at] = bad + lines[at][lines[at].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="parameter must be finite") \
+                as err:
+            read_sweep_csv(path)
+        assert err.value.line_number == at + 1
+
     def test_non_numeric_cell_names_line(self, small_records, tmp_path):
         path = tmp_path / "sweep.csv"
         write_sweep_csv(small_records, path, timestamp=True)
@@ -739,7 +755,17 @@ class TestModeFile:
                                           ("provenance", "cavity_x"),
                                           ("provenance", "cavity_open"),
                                           ("provenance", "two_level"),
-                                          ("n", "17")])
+                                          ("n", "17"),
+                                          ("eigenvalue", "nan 0.0"),
+                                          ("eigenvalue", "inf 0.0"),
+                                          ("residual", "nan"),
+                                          ("residual", "inf"),
+                                          ("residual", "-1.0"),
+                                          ("parameter", "nan"),
+                                          ("parameter", "inf"),
+                                          ("parameter", "-inf"),
+                                          ("degenerate", "2"),
+                                          ("degenerate", "-1")])
     def test_invalid_header_value_names_line(self, cavity_mode, tmp_path,
                                              key, bad):
         path = tmp_path / "c.ep"
@@ -763,6 +789,37 @@ class TestModeFile:
         assert keys == ["provenance", "parameter", "eigenvalue", "residual",
                         "degenerate", "n"] \
             + [f.name for f in dataclasses.fields(CavitySpec)]
+
+    def test_non_finite_psi_names_first_row(self, cavity_mode, tmp_path):
+        # a NaN fails the unit-intensity test, as any value off 1 does
+        path = tmp_path / "c.ep"
+        write_mode_file(cavity_mode, path, parameter=0.1)
+        lines = path.read_text().splitlines()
+        blank = lines.index("")
+        cells = lines[blank + 5].split()
+        cells[3] = "nan"
+        lines[blank + 5] = " ".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="normalized") as err:
+            read_mode_file(path)
+        assert err.value.line_number == blank + 2
+
+    @pytest.mark.parametrize("column, bad", [(1, "0.123"), (1, "nan"),
+                                             (2, "-0.5")])
+    def test_row_off_the_grid_names_its_line(self, cavity_mode, tmp_path,
+                                             column, bad):
+        path = tmp_path / "c.ep"
+        write_mode_file(cavity_mode, path, parameter=0.1)
+        lines = path.read_text().splitlines()
+        at = lines.index("") + 7  # data row 6
+        cells = lines[at].split()
+        assert cells[column] != bad
+        cells[column] = bad
+        lines[at] = " ".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="coordinates") as err:
+            read_mode_file(path)
+        assert err.value.line_number == at + 1
 
     def test_unnormalized_psi_names_first_row(self, tmp_path):
         mode = two_level_modes(TwoLevelParams(0.3, 1.0, 2.0))[0]

@@ -391,7 +391,7 @@ class TestCavityModes:
             solve_cavity_modes(disc_h01, -1.0, 1)
 
     def test_mode_norm_enforced(self):
-        with pytest.raises(ValueError, match="normalized"):
+        with pytest.raises(InvalidSetting, match="normalized"):
             Mode(None, np.array([1.0, 1.0], dtype=complex), 1.0, "two_level")
 
     def test_mode_shape_enforced(self):
@@ -400,11 +400,28 @@ class TestCavityModes:
         geom = build_ellipse_grid(_spec(0.1, 0.1))
         assert geom.npts == 305
         psi = np.full(300, 1.0 / (np.sqrt(300) * geom.h), dtype=complex)
-        with pytest.raises(ValueError, match="300 entries, its grid 305"):
+        with pytest.raises(InvalidSetting, match="300 entries, its grid 305"):
             Mode(geom, psi, 1.0, "cavity_closed")
         square = np.full((2, 2), 0.5, dtype=complex)
-        with pytest.raises(ValueError, match=r"1-D, not of shape \(2, 2\)"):
+        with pytest.raises(InvalidSetting,
+                           match=r"1-D, not of shape \(2, 2\)"):
             Mode(None, square, 1.0, "two_level")
+
+    @pytest.mark.parametrize("field, value", [
+        ("psi", np.array([np.nan, 0.0])), ("psi", np.array([np.inf, 0.0])),
+        ("eigen_k", complex(np.nan, 0.0)), ("eigen_k", complex(1.0, np.inf)),
+        ("eigen_k", -np.inf), ("residual_norm", np.nan),
+        ("residual_norm", np.inf), ("residual_norm", -1.0)])
+    def test_mode_values_checked(self, field, value):
+        # Mode owns the rules on every value it keeps, one error class
+        # naming the field
+        kept = {"geometry": None, "psi": np.array([1.0, 0.0], dtype=complex),
+                "eigen_k": 1.0, "provenance": "two_level",
+                "residual_norm": 0.0}
+        with pytest.raises(InvalidSetting) as err:
+            Mode(**(kept | {field: value}))
+        assert err.value.field == field
+        assert field in str(err.value) or "normalized" in str(err.value)
 
     @pytest.mark.parametrize("variant, label", [
         ("closed", "cavity_open"), (None, "cavity_closed"),
