@@ -14,6 +14,7 @@ import csv
 import datetime
 from dataclasses import fields
 from io import StringIO
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -34,11 +35,13 @@ def read_text(path) -> str:
         raise OSError(f"cannot read {path}: {exc}") from exc
 
 
-def write_text(path, text: str) -> None:
-    """Write `text` as UTF-8 with its line ends as given."""
+def write_text(path, pieces) -> None:
+    """Write the strings of `pieces` in turn as UTF-8 with their line ends
+    as given; a writer hands its text over as one piece or lazily in
+    chunks."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
@@ -261,7 +264,7 @@ def write_sweep_csv(records: list, path, timestamp: bool = True) -> None:
     if hasattr(path, "write"):
         path.write(buf.getvalue())
     else:
-        write_text(path, buf.getvalue())
+        write_text(path, [buf.getvalue()])
 
 
 def read_sweep_csv(path) -> list:
@@ -326,18 +329,26 @@ def _reprs(values: np.ndarray) -> map:
     return map(text.__getitem__, memoryview(bits))
 
 
+# data rows an EPMODE writer formats and writes at once
+ROWS_PER_CHUNK = 2048
+
+
 def write_mode_file(mode: Mode, path, parameter: float) -> None:
     """EPMODE 1 text format: header lines, blank line, one row per point.
 
     The header stores the cavity spec, so the reader rebuilds the exact
     geometry instead of trusting coordinates; rows carry (index, x, y,
-    Re psi, Im psi) at full precision for inspection and plotting.
+    Re psi, Im psi) at full precision for inspection and plotting. The
+    parameter is checked before the file is opened, and the rows go out
+    ROWS_PER_CHUNK at a time, so the file's whole text never exists.
     """
+    parameter = float(parameter)
+    check_finite(parameter=parameter)
     geo = mode.geometry
     lam = complex(mode.eigen_k)
     lines = ["EPMODE 1",
              f"provenance: {mode.provenance}",
-             f"parameter: {float(parameter)!r}",
+             f"parameter: {parameter!r}",
              f"eigenvalue: {lam.real!r} {lam.imag!r}",
              f"residual: {float(mode.residual_norm)!r}",
              f"degenerate: {int(mode.degenerate)}",
@@ -349,13 +360,21 @@ def write_mode_file(mode: Mode, path, parameter: float) -> None:
             lines.append(f"{f.name}: {v}")
         xs, ys = _reprs(geo.pt_x), _reprs(geo.pt_y)
     else:
-        xs = ys = ["0.0"] * mode.psi.size
+        xs, ys = repeat("0.0", mode.psi.size), repeat("0.0", mode.psi.size)
     lines.append("")
     psi = mode.psi  # read through memoryviews: no list of n floats
-    lines.extend(map(" ".join, zip(
+    rows = map(" ".join, zip(
         map(str, range(psi.size)), xs, ys,
-        map(repr, memoryview(psi.real)), map(repr, memoryview(psi.imag)))))
-    write_text(path, "\n".join(lines) + "\n")
+        map(repr, memoryview(psi.real)), map(repr, memoryview(psi.imag))))
+    write_text(path, _chunks("\n".join(lines) + "\n", rows))
+
+
+def _chunks(head: str, rows):
+    """`head`, then the lines of `rows` ROWS_PER_CHUNK at a time."""
+    yield head
+    while chunk := list(islice(rows, ROWS_PER_CHUNK)):
+        chunk.append("")  # the last row's \n
+        yield "\n".join(chunk)
 
 
 def read_mode_file(path):
@@ -365,7 +384,9 @@ def read_mode_file(path):
     rows in one pass: n lines (the last \\n optional) holding 5n numbers
     with index column 0..n-1. Otherwise a scan names the first row that is
     not its index and four more numbers. Any CavitySpec key in the header
-    makes it a cavity mode, whose provenance follows from its geometry.
+    makes it a cavity mode, whose provenance follows from its geometry and
+    whose rows must hold its grid's points; a two-level row's x and y are
+    0.0.
     """
     head, blank, body = read_text(path).partition("\n\n")
     if not blank:  # a final \n ends the last line, it opens no new one
@@ -415,6 +436,8 @@ def read_mode_file(path):
                    residual_norm=line_of.get("residual"))
     try:
         geometry = None
+        want_x = want_y = 0.0  # what the writer puts in a two-level row
+        rule = "two-level row coordinates must be 0.0"
         if any(f.name in header for f in fields(CavitySpec)):
             geometry = build_ellipse_grid(CavitySpec(**{
                 f.name: value(f.name, str if f.type == "str" else float)
@@ -422,10 +445,11 @@ def read_mode_file(path):
             if geometry.npts != n:
                 raise ParseError(line_of["n"], f"geometry yields "
                                  f"{geometry.npts} points, file has {n}")
-            off = np.flatnonzero((geometry.pt_x != xs) | (geometry.pt_y != ys))
-            if off.size:
-                raise ParseError(body_start + 1 + int(off[0]),
-                                 "row coordinates disagree with geometry")
+            want_x, want_y = geometry.pt_x, geometry.pt_y
+            rule = "row coordinates disagree with geometry"
+        off = np.flatnonzero((xs != want_x) | (ys != want_y))
+        if off.size:
+            raise ParseError(body_start + 1 + int(off[0]), rule)
         mode = Mode(geometry, psi, value("eigenvalue", _complex_pair),
                     provenance, value("residual"),
                     bool(value("degenerate", ("0", "1").index)))

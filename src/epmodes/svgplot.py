@@ -128,4 +128,4 @@ def emit_svg(records, fields, path, marker=None):
         ly += 15.0
     out.append("</svg>")
 
-    write_text(path, "\n".join(out) + "\n")
+    write_text(path, ["\n".join(out) + "\n"])

@@ -10,13 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_linalg import _traced_peak
 
+from epmodes import io
 from epmodes.io import (_FIELD_OF_KEY, _SECTIONS, ParseError, csv_columns,
                         parse_config, parse_output_options, read_mode_file,
                         read_sweep_csv, read_text, write_mode_file,
                         write_sweep_csv)
-from epmodes.models import CavitySpec, Mode, solve_cavity_modes, \
-    two_level_modes, TwoLevelParams
+from epmodes.models import CavitySpec, Mode, build_ellipse_grid, \
+    solve_cavity_modes, two_level_modes, TwoLevelParams
 from epmodes.models import InvalidSetting
 from epmodes.sweep import (ModeDiagnostics, SweepConfig, SweepRecord,
                            field_series, mode_diagnostics, run_sweep)
@@ -820,6 +822,64 @@ class TestModeFile:
         with pytest.raises(ParseError, match="coordinates") as err:
             read_mode_file(path)
         assert err.value.line_number == at + 1
+
+    @pytest.mark.parametrize("x, y", [("nan", "inf"), ("0.5", "0.0"),
+                                      ("0.0", "-1e-300")])
+    def test_two_level_row_off_zero_names_its_line(self, tmp_path, x, y):
+        # the writer puts 0.0 in both coordinate columns of a two-level row
+        mode = two_level_modes(TwoLevelParams(0.3, 1.0, 2.0))[0]
+        path = tmp_path / "m.ep"
+        write_mode_file(mode, path, parameter=0.3)
+        lines = path.read_text().splitlines()
+        at = lines.index("") + 2  # data row 1
+        cells = lines[at].split()
+        cells[1:3] = x, y
+        lines[at] = " ".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="must be 0.0") as err:
+            read_mode_file(path)
+        assert err.value.line_number == at + 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_writes_no_file(self, tmp_path, bad):
+        # the reader would refuse `parameter: nan`, so no such file starts
+        mode = two_level_modes(TwoLevelParams(0.3, 1.0, 2.0))[0]
+        path = tmp_path / "m.ep"
+        with pytest.raises(InvalidSetting, match="parameter must be finite") \
+                as err:
+            write_mode_file(mode, path, parameter=bad)
+        assert err.value.field == "parameter"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("kind", ["cavity", "two_level"])
+    def test_chunk_size_keeps_bytes(self, cavity_mode, tmp_path,
+                                    monkeypatch, kind):
+        # one chunk of n or more rows is the whole text at once; sizes 1
+        # and n leave a last chunk that is exactly full
+        mode = (cavity_mode if kind == "cavity"
+                else two_level_modes(TwoLevelParams(0.3, 1.0, 2.0))[0])
+        n = mode.psi.size
+        texts = set()
+        for size in (1, 3, 2048, n, n + 1):
+            monkeypatch.setattr(io, "ROWS_PER_CHUNK", size)
+            path = tmp_path / f"m{size}.ep"
+            write_mode_file(mode, path, parameter=0.3)
+            texts.add(path.read_bytes())
+        assert len(texts) == 1
+        assert len(texts.pop().split(b"\n\n")[1].splitlines()) == n
+
+    def test_writer_holds_one_chunk_at_a_time(self, tmp_path):
+        # analyze_modes' open h = 1/100 file, 1.7 MB of text: its rows as
+        # strings and the joined text take about 6.5 MB at once, a chunk of
+        # 2048 rows about 0.5 MB
+        spec = CavitySpec(0.28, h=0.01, variant="open", cap_strength=8.0)
+        geom = build_ellipse_grid(spec)
+        assert geom.npts == 28909
+        psi = np.exp(1j * np.arange(geom.npts)) / (np.sqrt(geom.npts)
+                                                   * geom.h)
+        mode = Mode(geom, psi, 5.0 - 0.01j, "cavity_open")
+        _, peak = _traced_peak(write_mode_file, mode, tmp_path / "m.ep", 0.28)
+        assert peak <= 1.5e6
 
     def test_unnormalized_psi_names_first_row(self, tmp_path):
         mode = two_level_modes(TwoLevelParams(0.3, 1.0, 2.0))[0]
