@@ -50,16 +50,9 @@ class WeightedPhaseSet:
 
 @dataclass(frozen=True)
 class Resultant:
-    k: int
     Z_k: complex
     R_k: float
     mu_k: float
-
-
-@dataclass(frozen=True)
-class AlignedAngles:
-    theta_shift: np.ndarray
-    N_bins: int
 
 
 @dataclass(frozen=True)
@@ -74,9 +67,9 @@ class Alignment:
     R2: float
     mu2: float
     degenerate: bool
-    doubled: AlignedAngles   # (2 phi - mu_2 + D/2) mod 2pi
-    unfolded: AlignedAngles  # (phi - mu_2/2 + D/2) mod 2pi
-    R1: float                # lobe imbalance of phi - mu_2/2
+    doubled: np.ndarray   # (2 phi - mu_2 + D/2) mod 2pi
+    unfolded: np.ndarray  # (phi - mu_2/2 + D/2) mod 2pi
+    R1: float             # lobe imbalance of phi - mu_2/2
 
 
 @dataclass(frozen=True)
@@ -124,7 +117,7 @@ def resultant(s: WeightedPhaseSet, k: int) -> Resultant:
     if k < 1:
         raise ValueError("order k must be >= 1")
     z = fold_sum(s.weights * np.exp(1j * k * s.phases)) / s.total_weight
-    return Resultant(k, complex(z), min(abs(z), 1.0), float(np.angle(z)))
+    return Resultant(complex(z), min(abs(z), 1.0), float(np.angle(z)))
 
 
 def align(s: WeightedPhaseSet, N_bins: int) -> Alignment:
@@ -145,8 +138,7 @@ def align(s: WeightedPhaseSet, N_bins: int) -> Alignment:
     doubled = _wrap(_wrap(2.0 * s.phases) - mu2 + delta / 2.0)
     unfolded = np.mod(s.phases - mu2 / 2.0 + delta / 2.0, 2.0 * np.pi)
     r1 = lobe_imbalance(_wrap(s.phases - mu2 / 2.0), s.weights)
-    return Alignment(r2.R_k, mu2, degenerate, AlignedAngles(doubled, N_bins),
-                     AlignedAngles(unfolded, N_bins), r1)
+    return Alignment(r2.R_k, mu2, degenerate, doubled, unfolded, r1)
 
 
 def lobe_imbalance(phi: np.ndarray, weights: np.ndarray) -> float:

@@ -63,11 +63,11 @@ def _cmd_sweep(args) -> int:
         opts["timestamp"] = False
     if opts["svg"]:
         check_fields(opts["svg_fields"], cfg.alphas)
+    os.makedirs(opts["directory"], exist_ok=True)
     records = run_sweep(cfg)
     status = _report_failures(records)
     if status:
         return status
-    os.makedirs(opts["directory"], exist_ok=True)
     csv_path = os.path.join(opts["directory"], opts["csv"])
     write_sweep_csv(records, csv_path, timestamp=opts["timestamp"])
     n_rows = sum(len(r.modes) for r in records)

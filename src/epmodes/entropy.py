@@ -18,13 +18,7 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 
-from .circstats import (
-    WeightedPhaseSet,
-    AlignedAngles,
-    Alignment,
-    align,
-    fold_sum,
-)
+from .circstats import WeightedPhaseSet, Alignment, align, fold_sum
 
 # analysis defaults: histogram bins, Fourier cutoff, Renyi orders
 N_BINS = 720
@@ -58,15 +52,15 @@ class EntropyReport:
     alignment: Alignment  # the mu_2 rotation every entropy was taken under
 
 
-def histogram(a: AlignedAngles, s: WeightedPhaseSet) -> HistogramPMF:
-    """Accumulate s's weights into bin b = floor(theta / delta), normalize
-    by its total weight; a holds the aligned angles of s."""
-    n = a.N_bins
-    bins = np.floor(a.theta_shift * n / (2.0 * np.pi)).astype(np.int64)
-    bins = np.minimum(bins, n - 1)  # guards theta rounding up to exactly 2pi
-    masses = np.zeros(n)
+def histogram(theta: np.ndarray, s: WeightedPhaseSet, N_bins: int
+              ) -> HistogramPMF:
+    """Accumulate s's weights into bin b = floor(theta / delta) of N_bins,
+    normalize by its total weight; theta holds the aligned angles of s."""
+    bins = np.floor(theta * N_bins / (2.0 * np.pi)).astype(np.int64)
+    bins = np.minimum(bins, N_bins - 1)  # theta may round up to exactly 2pi
+    masses = np.zeros(N_bins)
     np.add.at(masses, bins, s.weights)
-    return HistogramPMF(n, masses / s.total_weight)
+    return HistogramPMF(N_bins, masses / s.total_weight)
 
 
 def _shannon_fold(p: np.ndarray) -> float:
@@ -78,10 +72,10 @@ def shannon(p: HistogramPMF) -> float:
     return _shannon_fold(p.p)
 
 
-def fourier_coeffs(a: AlignedAngles, s: WeightedPhaseSet, K_max: int
+def fourier_coeffs(theta: np.ndarray, s: WeightedPhaseSet, K_max: int
                    ) -> np.ndarray:
     """F_k = sum w e^{-ik theta} / sum w for k = 0..K_max over s's weights
-    at a's angles; F_0 is 1 exactly.
+    at the aligned angles theta; F_0 is 1 exactly.
 
     The terms follow the power recurrence w e^{-ik theta} =
     (w e^{-i(k-1) theta}) e^{-i theta}, with e^{-i theta} taken once. Each
@@ -92,7 +86,7 @@ def fourier_coeffs(a: AlignedAngles, s: WeightedPhaseSet, K_max: int
         raise ValueError("K_max must be >= 1")
     F = np.zeros(K_max + 1, dtype=np.complex128)
     F[0] = 1.0
-    step = np.exp(-1j * a.theta_shift)
+    step = np.exp(-1j * theta)
     term = s.weights.astype(np.complex128)  # w e^{-ik theta} at k = 0
     for k in range(1, K_max + 1):
         term *= step
@@ -134,12 +128,12 @@ def entropy_report(s: WeightedPhaseSet, N_bins: int = N_BINS,
     regime sweeps need to cross.
     """
     al = align(s, N_bins)
-    pmf = histogram(al.doubled, s)
+    pmf = histogram(al.doubled, s, N_bins)
     s_folded = shannon(pmf)
     s_value = value_space_entropy(fourier_coeffs(al.doubled, s, K_max))
     return EntropyReport(
         S_folded=s_folded,
-        S_unfolded=shannon(histogram(al.unfolded, s)),
+        S_unfolded=shannon(histogram(al.unfolded, s, N_bins)),
         S_value=s_value,
         uncertainty_sum=s_folded + s_value,
         renyi={float(a): renyi(pmf, float(a)) for a in alphas},

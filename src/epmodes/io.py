@@ -320,13 +320,12 @@ def read_sweep_csv(path) -> list:
 
 
 def _reprs(values: np.ndarray) -> map:
-    """repr of each float, lazily, formatting each distinct bit pattern
-    once."""
-    bits = values.view(np.uint64)
-    u = np.sort(bits)
-    u = u[np.concatenate(([True], u[1:] != u[:-1]))]  # each pattern once
-    text = dict(zip(u.tolist(), map(repr, u.view(np.float64).tolist())))
-    return map(text.__getitem__, memoryview(bits))
+    """repr of each float, lazily, formatting each distinct value once
+    (np.unique merges -0.0 with 0.0 and NaN with NaN; a grid coordinate,
+    an integer times a finite h, is never either)."""
+    u, inv = np.unique(values, return_inverse=True)
+    text = list(map(repr, u.tolist()))
+    return map(text.__getitem__, memoryview(inv))
 
 
 # data rows an EPMODE writer formats and writes at once

@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 _SEED = 2718281828  # fixed Arnoldi start vector; reruns must be bitwise equal
@@ -56,7 +56,7 @@ def norm(v: np.ndarray) -> float:
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(a.view(np.float64) if a.dtype == complex else a)):
+    if not np.all(np.isfinite(a)):
         raise ValueError(f"{what} contains non-finite entries")
 
 

@@ -11,7 +11,7 @@ making it non-Hermitian.
 from __future__ import annotations
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .linalg import SparseOperator, eig2x2, norm, shift_invert_eigs

@@ -20,7 +20,6 @@ PETERMANN_CUTOFF = 1e-10  # below this |r|, 1/r^2 is declared infinite
 
 @dataclass(frozen=True)
 class RigidityReport:
-    r_complex: complex
     r_abs: float
     K: float
 
@@ -52,7 +51,5 @@ def petermann(r_abs: float) -> float:
 
 
 def rigidity_report(m: Mode) -> RigidityReport:
-    r = phase_rigidity_cs(m)
-    r_abs = min(abs(r), 1.0)
-    K = petermann(r_abs)
-    return RigidityReport(r, r_abs, K)
+    r_abs = min(abs(phase_rigidity_cs(m)), 1.0)
+    return RigidityReport(r_abs, petermann(r_abs))

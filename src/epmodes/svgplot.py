@@ -50,9 +50,9 @@ def emit_svg(records, fields, path, marker=None):
         raise InvalidSetting("records", "no mode rows to plot")
     params = [r.parameter for r in records]
     # (legend label, y axis: 0 left or 1 right, values) per (field, mode)
-    series = [(f"{f} (mode {mi})", int(f != fields[0]),
+    series = [(f"{f} (mode {mi})", int(i > 0),
                field_series(records, f, mi)[1])
-              for f in fields for mi in range(n_modes)]
+              for i, f in enumerate(fields) for mi in range(n_modes)]
 
     y_ranges = []
     for axis, name in enumerate(fields[:2]):

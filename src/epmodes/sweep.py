@@ -75,7 +75,7 @@ def _check_count(name: str, value, least: int) -> None:
 def check_analysis(N_bins: int, K_max: int, alphas: tuple,
                    node_cutoff: float) -> None:
     """The analysis settings' checks, each an InvalidSetting naming its
-    SweepConfig field; `analyze` runs them before it reads a file."""
+    SweepConfig field; `analyze` and mode_diagnostics run them first."""
     _check_count("N_bins", N_bins, 2)
     _check_count("K_max", K_max, 1)
     if len(alphas) < 1:
@@ -238,6 +238,7 @@ def mode_diagnostics(m, N_bins: int = N_BINS, K_max: int = K_MAX,
 
     R1, R2 and the entropies all come from the report's one mu_2 alignment.
     """
+    check_analysis(N_bins, K_max, alphas, node_cutoff)
     s = extract_phases(m, node_cutoff)
     rep = entropy_report(s, N_bins, K_max, alphas)
     rig = rigidity_report(m)

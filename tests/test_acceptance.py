@@ -9,7 +9,6 @@ that test fails and the scoreboard reports the measured values.
 import time
 
 import numpy as np
-import pytest
 
 from epmodes.circstats import extract_phases, fold_sum, resultant
 from epmodes.entropy import HistogramPMF, chi_squared, renyi, shannon

@@ -1,8 +1,8 @@
 """End-to-end runs of every subcommand through main(argv)."""
 
+import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -182,6 +182,20 @@ class TestSweepCommand:
                         "n_bins = -3\n")
         assert main(["sweep", str(path)]) == 2
         assert "n_bins" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "solve"])
+    def test_unwritable_out_dir_fails_before_solving(
+            self, command, config_path, tmp_path, capsys, monkeypatch):
+        # the output directory is made first, so a path under a regular
+        # file costs no solve
+        def never(cfg, x):
+            raise AssertionError("solved a point")
+        monkeypatch.setattr(sweep, "_solve_point", never)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main([command, config_path,
+                     "--out-dir", str(blocker / "out")]) == 4
+        assert "file" in capsys.readouterr().err
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["sweep", str(tmp_path / "absent.cfg")]) == 4
@@ -430,6 +444,19 @@ class TestPlotCommand:
                      "--out", str(svg)]) == 2
         assert f"field '{name}'" in capsys.readouterr().err
         assert not svg.exists()
+
+    @pytest.mark.parametrize("fields", ["K,K", "S_folded,K,S_folded"])
+    def test_plot_axis_follows_field_position(self, csv_path, tmp_path,
+                                              fields):
+        # the first field is solid on the left axis and every later one,
+        # a repeat of the first too, dashed on the right
+        svg = tmp_path / "fig.svg"
+        assert main(["plot", csv_path, "--fields", fields,
+                     "--out", str(svg)]) == 0
+        keys = re.findall(r'<line [^>]*stroke-width="1.5"'
+                          r'( stroke-dasharray="6,3")?/>', svg.read_text())
+        assert [bool(d) for d in keys] == [
+            i > 0 for i in range(len(fields.split(","))) for _ in range(2)]
 
     def test_plot_missing_csv(self, tmp_path):
         assert main(["plot", str(tmp_path / "no.csv"),

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epmodes.circstats import (
-    WeightedPhaseSet, AlignedAngles,
+    WeightedPhaseSet,
     extract_phases, align, resultant,
 )
-from epmodes.models import Mode, TwoLevelParams, two_level_modes
+from epmodes.models import TwoLevelParams, two_level_modes
 from epmodes.entropy import (
     HistogramPMF,
     histogram,
@@ -48,19 +48,19 @@ def uniform_pmf(n=N):
     return pmf(np.full(n, 1.0 / n))
 
 
-def angles(theta, n_bins=N):
-    return AlignedAngles(np.asarray(theta, dtype=float), n_bins)
+def angles(theta):
+    return np.asarray(theta, dtype=float)
 
 
 def weighted(w):
     # histogram and fourier_coeffs read only a set's weights and total;
-    # the angles they bin come from AlignedAngles
+    # the angles they bin are passed beside it
     w = np.asarray(w, dtype=float)
     return WeightedPhaseSet(np.zeros(w.size), w)
 
 
 def unfolded_entropy(s, n_bins=N):
-    return shannon(histogram(align(s, n_bins).unfolded, s))
+    return shannon(histogram(align(s, n_bins).unfolded, s, n_bins))
 
 
 # 720 equal-weight samples at the bin centers: the uniform binned set in
@@ -71,18 +71,18 @@ UNIFORM_THETA = (np.arange(N) + 0.5) * TWO_PI / N
 class TestHistogram:
     def test_single_atom(self):
         delta = TWO_PI / N
-        p = histogram(angles([delta / 2.0]), weighted([3.0]))
+        p = histogram(angles([delta / 2.0]), weighted([3.0]), N)
         assert p.p[0] == 1.0 and p.p[1:].sum() == 0.0
 
     def test_two_atoms_opposite(self):
         delta = TWO_PI / N
         p = histogram(angles([delta / 2.0, np.pi + delta / 2.0]),
-                      weighted([1.0, 1.0]))
+                      weighted([1.0, 1.0]), N)
         assert p.p[0] == 0.5 and p.p[N // 2] == 0.5
 
     def test_uniform_fill(self):
         centers = (np.arange(N) + 0.5) * TWO_PI / N
-        p = histogram(angles(centers), weighted(np.ones(N)))
+        p = histogram(angles(centers), weighted(np.ones(N)), N)
         assert np.allclose(p.p, 1.0 / N, atol=1e-15)
 
     def test_pmf_validation(self):
@@ -98,8 +98,8 @@ class TestHistogram:
         phi = rng.random(500) * TWO_PI
         w = rng.random(500) + 0.01
         theta = np.mod(2.0 * phi, TWO_PI)
-        p_theta = histogram(angles(theta, N), weighted(w))
-        p_phi = histogram(angles(phi, 2 * N), weighted(w))
+        p_theta = histogram(angles(theta), weighted(w), N)
+        p_phi = histogram(angles(phi), weighted(w), 2 * N)
         combined = p_phi.p[:N] + p_phi.p[N:]
         assert np.allclose(p_theta.p, combined, atol=1e-12)
 
@@ -140,7 +140,7 @@ class TestUnfolded:
     def test_folded_same_input_is_zero(self):
         s = WeightedPhaseSet(np.array([0.0, np.pi]), np.array([0.5, 0.5]))
         a = align(s, N).doubled
-        assert shannon(histogram(a, s)) == 0.0
+        assert shannon(histogram(a, s, N)) == 0.0
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(53)
@@ -158,7 +158,7 @@ class TestUnfolded:
         a = align(s, N)
         assert a.degenerate and a.mu2 == 0.0
         zero = np.mod(s.phases + TWO_PI / N / 2.0, TWO_PI)
-        want = shannon(histogram(angles(zero), s))
+        want = shannon(histogram(angles(zero), s, N))
         assert unfolded_entropy(s, N) == want
         assert abs(want - np.log(2.0)) < 1e-12
 
@@ -183,7 +183,7 @@ class TestFourier:
         s = WeightedPhaseSet(phi, w)
         a = align(s, N).doubled
         F = fourier_coeffs(a, s, 10)
-        doubled = WeightedPhaseSet(a.theta_shift, w)
+        doubled = WeightedPhaseSet(a, w)
         for k in range(1, 11):
             assert abs(abs(F[k]) - resultant(doubled, k).R_k) < 1e-12
 

@@ -1161,21 +1161,21 @@ class TestPlotBytes:
 
     @given(records=_gappy_records(),
            fields=st.lists(st.sampled_from(_GAPPY_FIELDS), min_size=1,
-                           max_size=3, unique=True))
+                           max_size=3))
     @settings(max_examples=80, deadline=None)
     def test_one_polyline_per_finite_run(self, tmp_path_factory, records,
                                          fields):
         # each (field, mode) series, in field then mode order, draws one
         # polyline per run of two or more finite samples and one legend
         # entry; colours cycle through the palette in series order, and
-        # fields after the first are dashed
+        # fields after the first position are dashed, a repeat of it too
         n_modes = max(len(r.modes) for r in records)
         lines, legend, axis_finite = [], [], [False, False]
-        for i, (f, mi) in enumerate(itertools.product(fields,
-                                                      range(n_modes))):
+        for i, ((fi, f), mi) in enumerate(itertools.product(
+                enumerate(fields), range(n_modes))):
             values = [getattr(r.modes[mi], f) if mi < len(r.modes)
                       else math.nan for r in records]
-            color, dashed = _PALETTE[i % len(_PALETTE)], f != fields[0]
+            color, dashed = _PALETTE[i % len(_PALETTE)], fi > 0
             runs = _finite_runs(values)
             lines += [(color, dashed, k) for k in runs if k >= 2]
             legend.append((f"{f} (mode {mi})", color, dashed))

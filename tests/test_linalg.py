@@ -9,6 +9,7 @@ import ast
 import cmath
 import inspect
 import re
+import symtable
 import sys
 import tracemalloc
 from pathlib import Path
@@ -948,3 +949,55 @@ def test_every_default_is_passed_somewhere():
              for top in ("src", "demos", "perfbench")
              for path in sorted((root / top).rglob("*.py"))]
     assert set(_unpassed_defaults(defs, calls)) == {"main.argv"}
+
+
+def _unused_imports(source):
+    """`line name` for each module-level import in `source` that no scope
+    reads. symtable sees a read as a global, a free variable or a name at
+    module level; the names inside annotations count too, since under
+    `from __future__ import annotations` symtable never sees them."""
+    tables, used = [symtable.symtable(source, "<module>", "exec")], set()
+    while tables:
+        table = tables.pop()
+        tables += table.get_children()
+        used |= {sym.get_name() for sym in table.get_symbols()
+                 if sym.is_referenced() and (
+                     table.get_type() == "module" or sym.is_global()
+                     or sym.is_free())}
+    tree = ast.parse(source)
+    notes = [node.annotation for node in ast.walk(tree)
+             if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation]
+    notes += [node.returns for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and node.returns]
+    used |= {node.id for note in notes for node in ast.walk(note)
+             if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    yield f"{node.lineno} {name}"
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # an import nothing reads is a dependency the module does not have
+    planted = (
+        "from __future__ import annotations\n"
+        "import os, sys as system\n"
+        "import xml.dom\n"
+        "from json import dumps, loads\n"
+        "from pathlib import Path, PurePath\n"
+        "def f(p: Path) -> PurePath:\n"
+        "    def inner():\n        return system\n"
+        "    return [loads(q) for q in p]\n"
+        "class C:\n    x = xml.dom\n")
+    assert list(_unused_imports(planted)) == ["2 os", "4 dumps"]
+    root = Path(__file__).resolve().parent.parent
+    hits = [f"{path.relative_to(root)}:{hit}"
+            for top in ("src", "tests", "tools", "demos")
+            for path in sorted((root / top).rglob("*.py"))
+            if path.name != "__init__.py"
+            for hit in _unused_imports(path.read_text())]
+    assert hits == []

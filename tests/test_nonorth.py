@@ -167,12 +167,12 @@ class TestRigidityReport:
 
     def test_inconsistent_constructor_rejected(self):
         with pytest.raises(ValueError):
-            RigidityReport(0.5 + 0.0j, 0.5, 2.0)
+            RigidityReport(0.5, 2.0)
         with pytest.raises(ValueError):
-            RigidityReport(1.0 + 0.0j, 1.2, 1.0)
+            RigidityReport(1.2, 1.0)
         with pytest.raises(ValueError):
-            RigidityReport(0.9 + 0.0j, 0.9, 0.5)
-        RigidityReport(0.0j, 0.0, float("inf"))  # valid flagged report
+            RigidityReport(0.9, 0.5)
+        RigidityReport(0.0, float("inf"))  # valid flagged report
 
 
 class TestLogDerivativeIdentity:

@@ -144,6 +144,17 @@ class TestSweepConfig:
                                0.0)
             assert err.value.field == field
 
+    @pytest.mark.parametrize("field, value", [
+        ("N_bins", 3.5), ("K_max", 2.5), ("N_bins", np.float64(720.0)),
+        ("alphas", ()), ("alphas", (1.0, np.nan)), ("node_cutoff", 1.0)])
+    def test_mode_diagnostics_applies_the_analysis_rules(self, field, value):
+        # called directly, a float count ended in numpy's TypeError and no
+        # order at all was accepted
+        m = two_level_modes(TwoLevelParams(0.3, 1.0, 0.5))[0]
+        with pytest.raises(InvalidSetting) as err:
+            mode_diagnostics(m, **{field: value})
+        assert err.value.field == field
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
                              ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("model, setting, field", [
