@@ -29,7 +29,8 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 _SEED = 2718281828  # fixed Arnoldi start vector; reruns must be bitwise equal
 _PIVOT_RTOL = 1e-14
-_BLOCK = 32  # rows per replay block: a solve takes about 2n/32 Python steps
+_BLOCK = 16  # rows per replay block: a solve takes 2 span/16 Python steps
+_CHUNK = 64  # blocks per step of the per-block inversions
 RESIDUAL_TOL = 1e-10  # every returned eigenpair's residual on A meets it
 
 
@@ -185,23 +186,33 @@ class Factorization:
 
 
 def _invert_unit_lower(L: np.ndarray) -> None:
-    """In place: each strictly lower (nb, B, B) block becomes the inverse of
-    its unit-lower matrix, diagonal included; row i needs only rows < i."""
-    B = L.shape[1]
-    L[:, np.arange(B), np.arange(B)] = 1.0
+    """In place: each strictly lower (B, B, blocks) block becomes the inverse
+    of its unit-lower matrix, diagonal included; row i needs only rows < i."""
+    B = L.shape[0]
+    L[np.arange(B), np.arange(B)] = 1.0
     for i in range(1, B):
-        L[:, i, :i] = -(L[:, i, :i, None] * L[:, :i, :i]).sum(axis=1)
+        L[i, :i] = -(L[i, :i, None] * L[:i, :i]).sum(axis=0)
 
 
 def _invert_upper(U: np.ndarray) -> None:
-    """In place: each upper-triangular (nb, B, B) block becomes its inverse;
-    row i needs only rows > i."""
-    B = U.shape[1]
+    """In place: each upper-triangular (B, B, blocks) block becomes its
+    inverse; row i needs only rows > i."""
+    B = U.shape[0]
     for i in range(B - 1, -1, -1):
-        d = U[:, i, i].copy()
-        U[:, i, i + 1:] = -(U[:, i, i + 1:, None]
-                            * U[:, i + 1:, i + 1:]).sum(axis=1) / d[:, None]
-        U[:, i, i] = 1.0 / d
+        d = U[i, i].copy()
+        U[i, i + 1:] = -(U[i, i + 1:, None]
+                         * U[i + 1:, i + 1:]).sum(axis=0) / d
+        U[i, i] = 1.0 / d
+
+
+def _invert_blocks(blocks: np.ndarray, invert) -> None:
+    """In place: `invert` on each (B, B) block of a (count, B, B) array,
+    _CHUNK blocks at a time laid out (B, B, chunk), so each row step is one
+    contiguous pass over the chunk and no temporary grows with the count."""
+    for a in range(0, len(blocks), _CHUNK):
+        X = blocks[a:a + _CHUNK].transpose(1, 2, 0).copy()
+        invert(X)
+        blocks[a:a + _CHUNK] = X.transpose(2, 0, 1)
 
 
 def lu_factor(A: SparseOperator, shift: complex = 0.0) -> Factorization:
@@ -215,34 +226,48 @@ def lu_factor(A: SparseOperator, shift: complex = 0.0) -> Factorization:
     Row-slot storage while factoring: T[r, t] holds matrix entry
     (r, r - kl + t), giving each row a contiguous window of 2*kl + ku + 1
     columns; the extra kl columns on the right absorb pivoting fill-in. The
-    column loop runs once over all lanes. Row j of U ends at column j + ku
-    unless a swap pulled a longer row up; `reach`, the furthest column a
-    swap has brought into the rows not yet eliminated, keeps every row
-    r > j zero past max(r + ku, reach), so each column updates only the
-    columns its pivot row reaches. The scale is read from the entries. L's
-    panels and the band share one buffer, so a factor makes one large
-    allocation and frees it once. After the loop U's diagonal and wu slots
-    move to the band's front, in row chunks that end before their source
-    begins, and the buffer shrinks to L, those slots and U's blocks.
+    column loop runs once over all lanes, inside A's envelope: `env[j]`, the
+    last local row that column j reaches (A is symmetric, so also the last
+    column that row j reaches), maximized over lanes and over rows <= j.
+    Column j has no entry below row env[j], and a row r not yet eliminated
+    none past max(env[r], far), where `far` is the furthest env of a row
+    that a swap brought up. So column j searches and updates rows
+    j + 1 .. env[j] and columns up to max(env[j], far); everything outside
+    is an exact zero either way. The width U keeps stays on the band's rule:
+    row j ends at column j + ku unless a swap pulled a longer row up, and
+    `reach`, the furthest such column, sets `wu`. The scale is read from
+    the entries. L's panels and the band share one buffer, so a factor
+    makes one large allocation and frees it once. After the loop U's
+    diagonal and wu slots move to the band's front, in row chunks that end
+    before their source begins, and the buffer shrinks to L, those slots
+    and U's blocks.
     """
     n = A.n
     kl, ku = A.bandwidths()
     w = 2 * kl + ku + 1
-    # explicit inverses of blocks wider than the band cost accuracy on
-    # narrow bands (1-D Laplacian: Ritz floor 5e-12 -> 2e-11 at B = 32)
+    # U's blocks come from the W >= B slots each row keeps, which its
+    # window holds only for B <= kl + ku + 1; smaller explicit inverses also
+    # lose less (closed ellipse at h = 0.03, kl + ku = 62: solve residual
+    # 1.02e-13, 1.06e-13, 1.22e-13 at B = 16, 32, 62)
     B = max(1, min(_BLOCK, kl + ku))
-    # a block ends after row r when no entry (i, j) has min <= r < max
+    # last[r]: the furthest column that rows <= r reach; a block ends after
+    # row r when no entry (i, j) has min <= r < max
     last = np.arange(n)
     np.maximum.at(last, np.minimum(A.rows, A.cols),
                   np.maximum(A.rows, A.cols))
-    ends = np.flatnonzero(np.maximum.accumulate(last) == np.arange(n)) + 1
+    last = np.maximum.accumulate(last)
+    ends = np.flatnonzero(last == np.arange(n)) + 1
     lens = np.diff(ends, prepend=0)
     starts = ends - lens
     span = int(lens.max(initial=0))
+    first = np.repeat(starts, lens)  # each row's lane start
+    env = np.arange(span)  # padding rows reach only themselves
+    np.maximum.at(env, np.arange(n) - first, last - first)
+    env = env.tolist()
     nl, nb = starts.size, -(-span // B)
     ln = nb * B + kl + ku + 1  # zero rows keep strided views in bounds
     base = ln * np.arange(nl)
-    rows = np.arange(n) + np.repeat(base - starts, lens)
+    rows = np.arange(n) + np.repeat(base, lens) - first
     if not np.any(A.vals.imag) and complex(shift).imag == 0.0:
         vals, shift = A.vals.real, complex(shift).real
     else:
@@ -265,24 +290,29 @@ def lu_factor(A: SparseOperator, shift: complex = 0.0) -> Factorization:
     # S[l, j, r, t] is lane l's entry (j + r, j + t)
     S = as_strided(T.reshape(-1)[kl:], shape=(nl, span, kl + 1, kl + ku + 1),
                    strides=(ln * w * sz, w * sz, (w - 1) * sz, sz))
-    reach = wu = 0
+    reach = far = wu = 0
     with np.errstate(all="ignore"):  # a failed pivot is reported below
         for j in range(span):
             Sj = S[:, j]
             nbl, ncol = min(kl, span - 1 - j), min(kl + ku, span - 1 - j)
+            nen = env[j] - j
             k, c = divmod(j, B)
-            below = np.abs(Sj[:, :nbl + 1, 0]).argmax(axis=1)
+            below = np.abs(Sj[:, :nen + 1, 0]).argmax(axis=1)
             for l, d in enumerate(below.tolist()):
                 if d:
                     perm[k, l, [c, c + d]] = perm[k, l, [c + d, c]]
                     L[k, l, [c, c + d]] = L[k, l, [c + d, c]]
                     Sj[l, [0, d], :ncol + 1] = Sj[l, [d, 0], :ncol + 1]
                     reach = max(reach, j + d + ku)
+                    far = max(far, env[j + d])
+            # L takes every band row's multiplier, so its bytes (-0.0 for a
+            # zero over a negative pivot) do not depend on the envelope
             m = Sj[:, 1:nbl + 1, 0] / Sj[:, :1, 0]
             L[k, :, c + 1:c + 1 + nbl, c] = m
-            ub = min(max(ku, reach - j), ncol)
-            wu = max(wu, ub)
-            Sj[:, 1:nbl + 1, 1:ub + 1] -= m[:, :, None] * Sj[:, :1, 1:ub + 1]
+            wu = max(wu, min(max(ku, reach - j), ncol))
+            ub = max(env[j], far) - j
+            Sj[:, 1:nen + 1, 1:ub + 1] -= (m[:, :nen, None]
+                                           * Sj[:, :1, 1:ub + 1])
     # the first small pivot in global column order, as a single band has it
     piv = np.abs(S[:, :, 0, 0])
     at = np.where(piv <= _PIVOT_RTOL * scale,
@@ -306,7 +336,7 @@ def lu_factor(A: SparseOperator, shift: complex = 0.0) -> Factorization:
     L = buf[:nL].reshape(nb, nl, B + kl, B)
     T = buf[nL:nL + R * W].reshape(R, W)
     U = buf[nL + R * W:].reshape(nb, nl, B, B)
-    _invert_unit_lower(L.reshape(-1, B + kl, B)[:, :B])
+    _invert_blocks(L.reshape(-1, B + kl, B)[:, :B], _invert_unit_lower)
 
     # U[k, l, i, j] = T[base_l + kB + i, j - i], zeroed where j < i
     U[:] = as_strided(T, shape=(nb, nl, B, B),
@@ -315,7 +345,7 @@ def lu_factor(A: SparseOperator, shift: complex = 0.0) -> Factorization:
     U[:, :, off < 0] = 0.0
     tail = np.arange(span, nb * B)
     U[tail // B, :, tail % B, tail % B] = 1.0
-    _invert_upper(U.reshape(-1, B, B))
+    _invert_blocks(U.reshape(-1, B, B), _invert_upper)
     return Factorization(n, kl, ku, T[:, 1:wu + 1], rows, perm, L, U)
 
 
@@ -333,7 +363,7 @@ def _givens(a: complex, b: complex) -> tuple[float, complex]:
     return aa / r, alpha * b.conjugate() / r
 
 
-def hessenberg_eig(H: np.ndarray, count: int
+def hessenberg_eig(H: np.ndarray, count: int, real: bool = False
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of a complex upper-Hessenberg matrix by decreasing modulus
     (ties in diagonal order), and a (K, count) array whose column j is a
@@ -343,11 +373,19 @@ def hessenberg_eig(H: np.ndarray, count: int
     the active window and no Schur vectors kept, then inverse iteration on H
     for the wanted vectors (LAPACK's ZHSEQR job 'E' and ZHSEIN). Arnoldi's
     K is small, so both run on Python complex scalars.
+
+    `real` says that H is real and its spectrum is: H projects a real
+    symmetric operator. A near-degenerate pair can still hand the complex QR
+    a complex shift, so its values are projected onto the real axis, and
+    inverse iteration runs on real scalars; both results are then float64,
+    with the bits the complex path gives where it stays real.
     """
     H = np.asarray(H, dtype=np.complex128)
     K = H.shape[0]
     if H.shape != (K, K):
         raise ValueError("square matrix required")
+    if real and H.imag.any():
+        raise ValueError("real=True needs a real matrix")
     T = H.tolist()
     eps = np.finfo(np.float64).eps
     hi, iters, budget = K - 1, 0, 60 * max(K, 4)
@@ -395,18 +433,20 @@ def hessenberg_eig(H: np.ndarray, count: int
                 row[i + 1] = gc * y - gs * x
         for i in range(lo, hi + 1):
             T[i][i] += mu
-    evals = sorted((T[i][i] for i in range(K)), key=lambda z: -abs(z))
+    evals = sorted((T[i][i].real if real else T[i][i] for i in range(K)),
+                   key=lambda z: -abs(z))
     # inverse iteration: two solves with H - lam I, each column pivoting
     # between its diagonal and subdiagonal row (a zero pivot reads eps |H|_1),
     # each from the last vector made orthogonal to those taken for an equal
     # eigenvalue: a semisimple one so yields an orthonormal set, a defective
     # one its single eigenvector again.
     floor = eps * (np.abs(H).sum(axis=0).max(initial=0.0) or 1.0)
+    H = H.real if real else H
     rng = np.random.default_rng(_SEED)
     vecs = []
     for lam in evals[:count]:
         peers = [v for v, mu in zip(vecs, evals) if abs(mu - lam) <= floor]
-        x = rng.standard_normal(K).astype(complex).tolist()
+        x = rng.standard_normal(K).astype(H.dtype).tolist()
         for _ in range(2):
             for p in peers:
                 c = sum(q.conjugate() * z for q, z in zip(p, x))
@@ -428,8 +468,8 @@ def hessenberg_eig(H: np.ndarray, count: int
             s = math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in x))
             x = [z / s for z in x]
         vecs.append(x)
-    return (np.array(evals, dtype=np.complex128),
-            np.array(vecs, dtype=np.complex128).reshape(len(vecs), K).T)
+    return (np.array(evals, dtype=H.dtype),
+            np.array(vecs, dtype=H.dtype).reshape(len(vecs), K).T)
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +481,14 @@ def _unit_gauge(v: np.ndarray) -> np.ndarray:
     (the biorthogonal norm of a complex-symmetric mode) real positive, and
     the sign that gives the largest-modulus entry (the first, on ties) a
     positive real part. A self-orthogonal v (|sum v^2| < 1e-12) has no such
-    phase; its largest entry is made real positive instead."""
-    v = v / norm(v)
+    phase; its largest entry is made real positive instead. A real v stays
+    real, with the bits a complex v of zero imaginary part would get."""
+    v = v * (1.0 / norm(v))  # numpy's complex v / norm(v), bit for bit
     piv = v[int(np.argmax(np.abs(v)))]
     s = (v * v).sum()
     if abs(s) < 1e-12:
         return v * (np.conj(piv) / abs(piv))
-    rot = np.exp(-0.5j * np.angle(s))
+    rot = np.exp(-0.5j * np.angle(s)) if np.iscomplexobj(v) else 1.0
     return v * (rot if (piv * rot).real >= 0 else -rot)
 
 
@@ -520,17 +561,20 @@ def shift_invert_eigs(A: SparseOperator, shift: complex, m: int
                 V[built + 1] = w / beta
             built += 1
         k = built
-        mu, Y = hessenberg_eig(Hm[:k, :k], count=m)
+        # a real factor's Ritz values, vectors and gauge are real
+        mu, Y = hessenberg_eig(Hm[:k, :k], count=m, real=lu.real)
         lam = shift + 1.0 / np.where(mu[:m] == 0, np.finfo(float).tiny, mu[:m])
         order = np.argsort(np.abs(lam - shift), kind="stable")
+        basis = V[:k].real if lu.real else V[:k]
         pairs: list[EigenPair] = []
         worst = 0.0
         for idx in order:
-            v = _unit_gauge((V[:k] * Y[:, idx][:, None]).sum(axis=0))
+            v = _unit_gauge((basis * Y[:, idx][:, None]).sum(axis=0))
             r = A.apply(v) - lam[idx] * v
             res = float(norm(r))
             best_res = min(best_res, res)
-            pairs.append(EigenPair(complex(lam[idx]), v, res))
+            pairs.append(EigenPair(complex(lam[idx]),
+                                   v.astype(np.complex128, copy=False), res))
             worst = max(worst, res)
         if worst <= RESIDUAL_TOL:
             return pairs

@@ -130,8 +130,8 @@ class TestBandedLU:
              "10-6-6", "150-16-16", "120-9-9-real"])
     def test_residual_random_systems(self, n, kl, ku, real):
         # real operator with real shift takes the float64 factor path. The
-        # replay block is B = min(32, kl + ku) rows: 45-4-4 ends in a partial
-        # block, 10-6-6 has n < B, 150-16-16 has B = 32 and five blocks, and
+        # replay block is B = min(16, kl + ku) rows: 45-4-4 ends in a partial
+        # block, 10-6-6 has n < B, 150-16-16 has B = 16 and ten blocks, and
         # 120-9-9-real runs several blocks on the float64 path.
         rng = np.random.default_rng(n)
         A = random_banded(rng, n, kl, real)
@@ -264,6 +264,37 @@ class TestBandedLU:
         assert lu._T[:, lu.ku:].any()  # U entries past ku
         self.check_solve(lu, M)
 
+    def test_staircase_envelope_with_swaps_past_its_edge(self):
+        # two lanes whose rows reach in steps of 6: the first row of a step
+        # reaches 8 columns on, the last only 3, so the envelope is narrower
+        # than the band. Each step's last row has a weak diagonal, so its
+        # column takes the pivot from the next step, whose rows reach 6
+        # columns past the envelope's edge.
+        rng = np.random.default_rng(27)
+        sizes, phases = (40, 37), (0, 3)
+        n = sum(sizes)
+        M = np.zeros((n, n), dtype=complex)
+        lo = 0
+        for size, p in zip(sizes, phases):
+            for i in range(size):
+                edge = min(size - 1, 6 * ((i + p) // 6) - p + 8)
+                for j in range(i + 1, edge + 1):
+                    M[lo + i, lo + j] = complex(rng.standard_normal(),
+                                                rng.standard_normal())
+                weak = (i + p) % 6 == 5 and i < size - 1
+                M[lo + i, lo + i] = 1e-12 if weak else 10.0 + 1j * i
+            lo += size
+        M = M + np.triu(M, 1).T
+        A = from_dense(M)
+        assert A.bandwidths() == (8, 8)
+        lu = lu_factor(A)
+        assert self.lane_lengths(lu).tolist() == list(sizes)
+        assert lu._T[:, lu.ku:].any()  # swapped-up rows reach past ku
+        self.check_solve(lu, M)
+        real = from_dense(M.real)  # the same swaps on the float64 path
+        assert lu_factor(real)._T.dtype == np.float64
+        self.check_solve(lu_factor(real), M.real)
+
     def test_rotated_cavity_factors_as_four_lanes(self):
         from epmodes import models
         for h, lanes in ((0.1, None), (0.02, [1858, 1794, 1821, 1758])):
@@ -287,6 +318,39 @@ class TestBandedLU:
 
 
 class TestHessenbergEig:
+    def test_real_keeps_the_bits_of_a_qr_that_stays_real(self):
+        # symmetric tridiagonal: every Wilkinson shift and rotation of the
+        # complex QR is real, so the real path returns its values and
+        # vectors bit for bit, as float64
+        rng = np.random.default_rng(13)
+        K = 12
+        e = rng.standard_normal(K - 1)
+        H = np.diag(rng.standard_normal(K)) + np.diag(e, 1) + np.diag(e, -1)
+        evals, vecs = hessenberg_eig(H, 4)
+        assert not evals.imag.any() and not vecs.imag.any()
+        revals, rvecs = hessenberg_eig(H, 4, real=True)
+        assert revals.dtype == rvecs.dtype == np.float64
+        assert revals.tobytes() == evals.real.tobytes()
+        assert rvecs.tobytes() == vecs.real.tobytes()
+
+    def test_real_projects_complex_ritz_values_onto_the_axis(self):
+        # a real H whose pair 1 +- 1e-7 i takes the complex QR off the real
+        # axis: the real path returns real values and real unit vectors
+        # whose residuals are about the imaginary part it dropped
+        H = np.array([[1.0, 1e-7, 0.5], [-1e-7, 1.0, 0.25], [0.0, 0.0, 3.0]])
+        assert np.abs(hessenberg_eig(H, 0)[0].imag).max() > 1e-8
+        evals, vecs = hessenberg_eig(H, 3, real=True)
+        assert evals.dtype == vecs.dtype == np.float64
+        assert evals[0] == 3.0
+        assert np.abs(evals[1:] - 1.0).max() <= 1e-15
+        for k in range(3):
+            assert abs(norm(vecs[:, k]) - 1.0) <= 1e-14
+            assert norm(H @ vecs[:, k] - evals[k] * vecs[:, k]) <= 2e-7
+
+    def test_real_rejects_a_complex_matrix(self):
+        with pytest.raises(ValueError, match="real matrix"):
+            hessenberg_eig(np.array([[1.0, 1j], [1.0, 2.0]]), 1, real=True)
+
     def test_against_dense_oracle(self):
         rng = np.random.default_rng(11)
         K = 30
@@ -556,15 +620,22 @@ class TestEig2x2:
                 assert p.residual_norm < 1e-12 * max(1.0, np.abs(M).max())
 
 
-def _traced_peak(f, *args):
-    """(f(*args), the most bytes f held at once beyond what was live)."""
+def _traced(f, *args):
+    """(f(*args), the most bytes f held at once beyond what was live, the
+    bytes it still held once it returned)."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         out = f(*args)
-        return out, tracemalloc.get_traced_memory()[1] - before
+        now, peak = tracemalloc.get_traced_memory()
+        return out, peak - before, now - before
     finally:
         tracemalloc.stop()
+
+
+def _traced_peak(f, *args):
+    """(f(*args), the most bytes f held at once beyond what was live)."""
+    return _traced(f, *args)[:2]
 
 
 def test_cavity_solve_allocates_only_what_it_keeps(monkeypatch):
@@ -583,14 +654,47 @@ def test_cavity_solve_allocates_only_what_it_keeps(monkeypatch):
     lu, peak = _traced_peak(lu_factor, red, shift)
     kl, ku = red.bandwidths()
     band = lu._T.shape[0] * (2 * kl + ku + 1) * lu._T.itemsize
-    # one band at a time beside the L panels and U blocks (or U's
-    # inversion temporary), plus index arrays and column-loop slices
+    # one band at a time beside the L panels and U blocks, plus index
+    # arrays and column-loop slices
     assert peak <= band + lu._L.nbytes + lu._Uinv.nbytes + 2**20
     monkeypatch.setattr(linalg, "lu_factor", lambda A, s: lu)
     _, peak = _traced_peak(shift_invert_eigs, red, shift, 2)
     # K + 1 = 9 basis rows, a Gram-Schmidt product of as many, the few
     # vectors of a solve and a residual, and the (cap + 1) x cap Hessenberg
     assert peak <= 40 * 16 * red.n + 201 * 200 * 16
+
+
+def test_cavity_factor_keeps_and_peaks_under_its_pins():
+    # criterion 6's h = 1/50 point: 16-row blocks keep L's panels at 6.0 MB
+    # and U's inverted blocks at 1.9 MB, and the column loop's band is the
+    # peak (with 32-row blocks the factor kept 17.5 MiB and peaked at
+    # 21.3 MiB; 16-row blocks keep 13.8 and peak at 19.0)
+    spec = CavitySpec(0.300, h=0.02, variant="open", cap_strength=1.0)
+    geom = build_ellipse_grid(spec)
+    red = parity_reduce(assemble_helmholtz(geom, spec), geom)
+    _, peak, kept = _traced(lu_factor, red, 8.015 ** 2)
+    assert kept <= 15 * 2**20
+    assert peak <= 19.5 * 2**20
+
+
+@pytest.mark.parametrize("invert", ["_invert_unit_lower", "_invert_upper"])
+def test_block_inverses_match_dense_in_bounded_chunks(invert):
+    # more blocks than ten chunks, and a partial last chunk: the inverses
+    # match the dense oracle, and the temporaries stay a few chunks' size
+    rng = np.random.default_rng(14)
+    B, count = 16, 10 * linalg._CHUNK + 3
+    blocks = (rng.standard_normal((count, B, B))
+              + 1j * rng.standard_normal((count, B, B)))
+    if invert == "_invert_unit_lower":
+        blocks = 0.25 * np.tril(blocks, -1)
+        want = np.linalg.inv(blocks + np.eye(B))
+    else:
+        blocks = np.triu(blocks) + 4.0 * np.eye(B)
+        want = np.linalg.inv(blocks)
+    _, peak = _traced_peak(linalg._invert_blocks, blocks,
+                           getattr(linalg, invert))
+    assert np.abs(blocks - want).max() <= 1e-12 * np.abs(want).max()
+    assert peak <= 4 * linalg._CHUNK * B * B * blocks.itemsize
 
 
 def _hook(frame, event, arg):
