@@ -4,11 +4,17 @@ The operators studied here are complex symmetric (H^T = H, not Hermitian), so
 the left eigenvector of every mode is the plain transpose of the right one and
 a right-eigenpair solver is all that is needed. The chain is:
 
-    banded LU (partial pivoting by largest modulus) over A's independent
-    diagonal blocks at once, as lanes of one batch, with per-block inverses
-    of the triangular factors' diagonal blocks built once per factor
+    elimination of a given set of mutually uncoupled unknowns (one colour
+    of a checkerboard), each by one division, leaving their Schur
+    complement S on the rest: about half the unknowns at A's bandwidth
+      -> banded LU of S (partial pivoting by largest modulus) over its
+         independent diagonal blocks at once, as lanes of one batch, with
+         per-block inverses of the triangular factors' diagonal blocks
+         built once per factor
       -> shift-invert Arnoldi with full reorthogonalization; each solve
-         replays the triangles a block of rows at a time in every lane
+         folds the eliminated unknowns into S's right-hand side, replays
+         the triangles a block of rows at a time in every lane, and
+         recovers the eliminated unknowns
       -> eigenvalue-only Hessenberg QR, inverse iteration for m vectors only
       -> one gauge for every eigenvector: unit norm, sum v^2 real positive
 
@@ -144,9 +150,18 @@ class Factorization:
 
     A solve replays both triangles a block at a time with broadcast mat-vecs
     over all lanes.
+
+    The band holds the Schur complement S on the kept unknowns `_keep`
+    (all of A's when nothing was eliminated; `_rows` and kl, ku are S's).
+    The eliminated unknowns `_gone` keep their pivots `_d`, the diagonal of
+    A - shift I there, and their couplings as (index, value) tables: `_up`
+    lists each kept unknown's eliminated neighbours, `_down` each
+    eliminated unknown's kept ones, zero-padded to the widest row. A solve
+    scatters b's eliminated part into S's right-hand side, replays S, and
+    recovers the eliminated unknowns from the kept ones; `n` is A's order.
     """
 
-    def __init__(self, n, kl, ku, band, rows, perm, lpanel, uinv):
+    def __init__(self, n, kl, ku, band, rows, perm, lpanel, uinv, split):
         self.n = n
         self.kl = kl
         self.ku = ku
@@ -155,6 +170,7 @@ class Factorization:
         self._perm = perm
         self._L = lpanel
         self._Uinv = uinv
+        self._keep, self._gone, self._d, self._up, self._down = split
         self.real = band.dtype == np.float64  # A and the shift were real
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -164,8 +180,10 @@ class Factorization:
         T, perm, L, Uinv = self._T, self._perm, self._L, self._Uinv
         kl, wu = self.kl, T.shape[1]
         nb, nl, B = Uinv.shape[:3]
+        (ui, uv), (di, dv), d = self._up, self._down, self._d
+        bg = b[self._gone]
         x = np.zeros(T.shape[0], dtype=np.complex128)
-        x[self._rows] = b
+        x[self._rows] = b[self._keep] - (uv * (bg / d)[ui]).sum(axis=0)
         xl = x.reshape(nl, -1)
         for k in range(nb):
             s = k * B
@@ -182,7 +200,10 @@ class Factorization:
             xl[:, s:s + B] = 0.0
             r -= (Tl[:, s:s + B] * xw[:, s + 1:s + 1 + B]).sum(axis=2)
             xl[:, s:s + B] = (Uinv[k] * r[:, None, :]).sum(axis=2)
-        return x[self._rows]
+        out = np.empty(self.n, dtype=np.complex128)
+        out[self._keep] = xk = x[self._rows]
+        out[self._gone] = (bg - (dv * xk[di]).sum(axis=0)) / d
+        return out
 
 
 def _invert_unit_lower(L: np.ndarray) -> None:
@@ -215,13 +236,92 @@ def _invert_blocks(blocks: np.ndarray, invert) -> None:
         blocks[a:a + _CHUNK] = X.transpose(2, 0, 1)
 
 
-def lu_factor(A: SparseOperator, shift: complex = 0.0) -> Factorization:
+def _table(r: np.ndarray, c: np.ndarray, v: np.ndarray, count: int):
+    """(index, value) arrays of shape (width, count): row i's entries c, v
+    in their order, then zeros; the rows r ascend, width is the longest."""
+    rank = np.arange(r.size) - np.searchsorted(r, r)
+    width = int(rank.max(initial=-1)) + 1
+    idx = np.zeros((width, count), dtype=np.int64)
+    val = np.zeros((width, count), dtype=v.dtype)
+    idx[rank, r], val[rank, r] = c, v
+    return idx, val
+
+
+def _condense(A: SparseOperator, vals: np.ndarray, shift, eliminate):
+    """(S, split): the Schur complement of the unknowns `eliminate` in
+    A - shift I, less the shift on its diagonal, and Factorization's split.
+
+    The eliminated unknowns couple to none of each other, so their block
+    D of A - shift I is diagonal and S = A_KK - A_KE D^-1 A_EK on the kept
+    ones, in their order. Each entry (i, j), i <= j, is A's entry minus its
+    terms A_ie A_ej / d_e in ascending e, and (j, i) is its mirror, so S is
+    symmetric bit for bit and real when `vals` and the shift are. A pivot
+    d_e is held to the banded factor's rule. With nothing eliminated S is A.
+    """
+    n = A.n
+    elim = np.zeros(n, dtype=bool)
+    elim[np.asarray(eliminate, dtype=np.int64)] = True
+    on = A.rows == A.cols
+    if np.any(elim[A.rows] & elim[A.cols] & ~on):
+        raise ValueError("two eliminated unknowns are coupled")
+    gone, keep = np.flatnonzero(elim), np.flatnonzero(~elim)
+    # each unknown's index among the eliminated or among the kept ones
+    local = np.where(elim, np.cumsum(elim), np.cumsum(~elim)) - 1
+    diag = np.zeros(n, dtype=vals.dtype)
+    diag[A.rows[on]] = vals[on]
+    diag -= shift
+    d = diag[gone]
+    scale = max(np.abs(vals[~on]).max(initial=0.0),
+                np.abs(diag).max(initial=0.0))
+    small = np.flatnonzero(np.abs(d) <= _PIVOT_RTOL * scale)
+    if small.size:
+        raise SingularShift(
+            f"pivot modulus {abs(d[small[0]]):.3e} at column "
+            f"{gone[small[0]]} below {_PIVOT_RTOL:.0e} of matrix scale")
+    ri, ci = elim[A.rows], elim[A.cols]
+    r, c, nk = local[A.rows], local[A.cols], keep.size
+    ke, ek, kk = ~ri & ci, ri & ~ci, ~ri & ~ci & (A.rows <= A.cols)
+    up = _table(r[ke], c[ke], vals[ke], nk)
+    di, dv = down = _table(r[ek], c[ek], vals[ek], gone.size)
+    # each e's pairs a <= b of kept neighbours, ascending, as i <= j
+    filled = np.arange(len(di))[:, None] < np.bincount(r[ek],
+                                                       minlength=gone.size)
+    q = dv / d
+    keys, terms = [r[kk] * nk + c[kk]], [vals[kk]]
+    order = [np.full(len(keys[0]), -1)]  # A's entry first, then e ascending
+    for a in range(len(di)):
+        for b in range(a, len(di)):
+            keys.append((di[a] * nk + di[b])[filled[b]])
+            terms.append(-(dv[a] * q[b])[filled[b]])
+            order.append(np.flatnonzero(filled[b]))
+    keys, order = np.concatenate(keys), np.concatenate(order)
+    terms = np.concatenate(terms)
+    sort = np.lexsort((order, keys))
+    keys = keys[sort]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    sums = np.add.reduceat(terms[sort], first)
+    i, j = np.divmod(keys[first], nk)
+    off = i != j
+    S = SparseOperator(nk, np.concatenate((i, j[off])),
+                       np.concatenate((j, i[off])),
+                       np.concatenate((sums, sums[off])))
+    return S, (keep, gone, d, up, down)
+
+
+def lu_factor(A: SparseOperator, shift: complex = 0.0,
+              eliminate: np.ndarray | tuple = ()) -> Factorization:
     """Banded LU of (A - shift I) with partial pivoting by largest modulus.
 
     Factors in float64 when the operator and the shift are both real (every
     closed cavity; the result's `real` says so), in complex128 otherwise. The
     block data that `Factorization.solve` replays is built here, once per
     factor.
+
+    The unknowns `eliminate` (indices, none by default) go first, each by
+    one division: they must couple to none of each other, as one colour of
+    a bipartite stencil's checkerboard does. What follows factors their
+    Schur complement S in place of A (see `_condense`), with the same code
+    either way. S is built, and its temporaries freed, before the band is.
 
     Row-slot storage while factoring: T[r, t] holds matrix entry
     (r, r - kl + t), giving each row a contiguous window of 2*kl + ku + 1
@@ -242,6 +342,12 @@ def lu_factor(A: SparseOperator, shift: complex = 0.0) -> Factorization:
     before their source begins, and the buffer shrinks to L, those slots
     and U's blocks.
     """
+    real = not np.any(A.vals.imag) and complex(shift).imag == 0.0
+    shift = complex(shift).real if real else shift
+    full = A.n
+    A, split = _condense(A, A.vals.real if real else A.vals, shift,
+                         eliminate)
+    vals = A.vals.real if real else A.vals
     n = A.n
     kl, ku = A.bandwidths()
     w = 2 * kl + ku + 1
@@ -268,10 +374,6 @@ def lu_factor(A: SparseOperator, shift: complex = 0.0) -> Factorization:
     ln = nb * B + kl + ku + 1  # zero rows keep strided views in bounds
     base = ln * np.arange(nl)
     rows = np.arange(n) + np.repeat(base, lens) - first
-    if not np.any(A.vals.imag) and complex(shift).imag == 0.0:
-        vals, shift = A.vals.real, complex(shift).real
-    else:
-        vals = A.vals
     nL, nU = nb * nl * (B + kl) * B, nb * nl * B * B
     buf = np.zeros(nL + nl * ln * w, dtype=vals.dtype)
     L, T = buf[:nL].reshape(nb, nl, B + kl, B), buf[nL:].reshape(-1, w)
@@ -320,8 +422,8 @@ def lu_factor(A: SparseOperator, shift: complex = 0.0) -> Factorization:
     if at.min() < n:
         bad = np.unravel_index(at.argmin(), at.shape)
         raise SingularShift(
-            f"pivot modulus {piv[bad]:.3e} at column {at[bad]} below "
-            f"{_PIVOT_RTOL:.0e} of matrix scale"
+            f"pivot modulus {piv[bad]:.3e} at column {split[0][at[bad]]} "
+            f"below {_PIVOT_RTOL:.0e} of matrix scale"
         )
     del S, Sj
     R, W, a = T.shape[0], max(wu, B - 1) + 1, 0
@@ -346,7 +448,8 @@ def lu_factor(A: SparseOperator, shift: complex = 0.0) -> Factorization:
     tail = np.arange(span, nb * B)
     U[tail // B, :, tail % B, tail % B] = 1.0
     _invert_blocks(U.reshape(-1, B, B), _invert_upper)
-    return Factorization(n, kl, ku, T[:, 1:wu + 1], rows, perm, L, U)
+    return Factorization(full, kl, ku, T[:, 1:wu + 1], rows, perm, L, U,
+                         split)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +481,9 @@ def hessenberg_eig(H: np.ndarray, count: int, real: bool = False
     symmetric operator. A near-degenerate pair can still hand the complex QR
     a complex shift, so its values are projected onto the real axis, and
     inverse iteration runs on real scalars; both results are then float64,
-    with the bits the complex path gives where it stays real.
+    with the bits the complex path gives where it stays real. A
+    complex-conjugate pair so projected gets two orthonormal real vectors
+    of its plane.
     """
     H = np.asarray(H, dtype=np.complex128)
     K = H.shape[0]
@@ -443,14 +548,23 @@ def hessenberg_eig(H: np.ndarray, count: int, real: bool = False
     floor = eps * (np.abs(H).sum(axis=0).max(initial=0.0) or 1.0)
     H = H.real if real else H
     rng = np.random.default_rng(_SEED)
+
+    def off(peers, x):  # x less its projection on each peer in turn
+        for p in peers:
+            c = sum(q.conjugate() * z for q, z in zip(p, x))
+            x = [z - c * q for q, z in zip(p, x)]
+        return x
+
+    def unit(x):
+        s = math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in x))
+        return [z / s for z in x]
+
     vecs = []
     for lam in evals[:count]:
         peers = [v for v, mu in zip(vecs, evals) if abs(mu - lam) <= floor]
         x = rng.standard_normal(K).astype(H.dtype).tolist()
         for _ in range(2):
-            for p in peers:
-                c = sum(q.conjugate() * z for q, z in zip(p, x))
-                x = [z - c * q for q, z in zip(p, x)]
+            x = off(peers, x)
             U = H.tolist()
             for j in range(K):
                 U[j][j] -= lam
@@ -465,8 +579,12 @@ def hessenberg_eig(H: np.ndarray, count: int, real: bool = False
             for i in range(K - 1, -1, -1):
                 dot = sum(u * v for u, v in zip(U[i][i + 1:], x[i + 1:]))
                 x[i] = (x[i] - dot) / (U[i][i] or floor)
-            s = math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in x))
-            x = [z / s for z in x]
+            x = unit(x)
+        for _ in range(2 if real and peers else 0):
+            # a value projected from a complex-conjugate pair: the solves
+            # turn x within the pair's plane back toward the first peer, so
+            # x leaves the peers again, twice, since little of it is left
+            x = unit(off(peers, x))
         vecs.append(x)
     return (np.array(evals, dtype=H.dtype),
             np.array(vecs, dtype=H.dtype).reshape(len(vecs), K).T)
@@ -492,8 +610,8 @@ def _unit_gauge(v: np.ndarray) -> np.ndarray:
     return v * (rot if (piv * rot).real >= 0 else -rot)
 
 
-def shift_invert_eigs(A: SparseOperator, shift: complex, m: int
-                      ) -> list[EigenPair]:
+def shift_invert_eigs(A: SparseOperator, shift: complex, m: int,
+                      eliminate: np.ndarray | tuple = ()) -> list[EigenPair]:
     """The m eigenpairs of A nearest `shift`, sorted by |lambda - shift|,
     each vector in `_unit_gauge` and each residual within RESIDUAL_TOL.
 
@@ -501,14 +619,15 @@ def shift_invert_eigs(A: SparseOperator, shift: complex, m: int
     the cap min(n, max(4m + 24, 200)) vectors, its one limit. Ritz values mu
     map back through lambda = shift + 1/mu. Residuals are measured on A
     itself, never on the projected problem. The basis V starts at K + 1
-    rows and doubles, up to cap + 1, when K outgrows it.
+    rows and doubles, up to cap + 1, when K outgrows it. `eliminate` goes
+    to `lu_factor`: unknowns that couple to none of each other.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > A.n:
         raise ValueError("m exceeds operator dimension")
     n = A.n
-    lu = lu_factor(A, shift)
+    lu = lu_factor(A, shift, eliminate)
     rng = np.random.default_rng(_SEED)
 
     def draw():  # real draws keep a real factor's Krylov space real

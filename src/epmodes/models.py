@@ -160,22 +160,27 @@ class GridGeometry:
                 for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))}
 
     @cached_property
-    def parity_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """(block, weight), each (4, npts): point p enters column block[s, p]
-        of the real orthogonal D2 basis Q with weight chi_s(p) / sqrt|O_p|,
-        O_p being p's mirror orbit and chi_s the sign pattern of sector
-        s = ee, eo, oe, oo (x parity first); weight 0 where s has no vector
-        for O_p. Each sector's columns follow its quadrant points x-major."""
+    def parity_basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(block, weight, odd). block and weight are (4, npts): point p
+        enters column block[s, p] of the real orthogonal D2 basis Q with
+        weight chi_s(p) / sqrt|O_p|, O_p being p's mirror orbit and chi_s the
+        sign pattern of sector s = ee, eo, oe, oo (x parity first); weight 0
+        where s has no vector for O_p. Each sector's columns follow its
+        quadrant points x-major. `odd` lists, ascending, the columns whose
+        quadrant point has |X| + |Y| odd: one colour of the checkerboard,
+        coupled by the 5-point stencil only to the other, in Q^T A Q too."""
         X, Y = self.ix_min + self.pt_ix, self.iy_min + self.pt_iy
         odd_x, odd_y = np.array([[0, 0, 1, 1], [0, 1, 0, 1]])[..., None]
         member = ((X != 0) | (odd_x == 0)) & ((Y != 0) | (odd_y == 0))
         # sector by sector, a quadrant point's rank is its column
-        col = np.cumsum(member & (X >= 0) & (Y >= 0)).reshape(4, -1) - 1
+        quadrant = member & (X >= 0) & (Y >= 0)
+        col = np.cumsum(quadrant).reshape(4, -1) - 1
         rep = self.index_of[np.abs(X) - self.ix_min, np.abs(Y) - self.iy_min]
         chi = (-1.0) ** (odd_x * (X < 0) + odd_y * (Y < 0))
         scale = 1.0 / np.sqrt((1.0 + (X != 0)) * (1.0 + (Y != 0)))
         return (np.where(member, col[:, rep], 0),
-                np.where(member, chi * scale, 0.0))
+                np.where(member, chi * scale, 0.0),
+                col[quadrant & ((np.abs(X) + np.abs(Y)) % 2 == 1)])
 
 
 def provenance_of(geometry: GridGeometry | None) -> str:
@@ -296,7 +301,7 @@ def parity_reduce(op: SparseOperator, geom: GridGeometry) -> SparseOperator:
     Y = (geom.iy_min + geom.pt_iy)[op.rows]
     rep = (X >= 0) & (Y >= 0)
     rows, cols = op.rows[rep], op.cols[rep]
-    block, weight = geom.parity_basis
+    block, weight, _ = geom.parity_basis
     w = weight[:, rows] * weight[:, cols] * (
         (1.0 + (X[rep] != 0)) * (1.0 + (Y[rep] != 0)))
     keep = w != 0.0
@@ -312,8 +317,9 @@ def solve_cavity_modes(spec: CavitySpec, k_target: float, m: int
     """m modes of `spec` with k nearest k_target, shift-invert at k_target^2.
 
     One Arnoldi runs on `parity_reduce(A, grid)`, A the Helmholtz operator
-    on the spec's grid; each Ritz vector y maps back as psi = Q y / h, with
-    its residual measured on A. Q is real orthogonal, so psi keeps the
+    on the spec's grid, whose factor eliminates the odd checkerboard colour
+    of `parity_basis` first. Each Ritz vector y maps back as psi = Q y / h,
+    with its residual measured on A. Q is real orthogonal, so psi keeps the
     solver's gauge of y: unit intensity and sum psi^2 real positive.
     k = sqrt(lambda) on the principal branch (Re k >= 0); for absorbing
     cavities Im lambda < 0 puts Im k < 0.
@@ -325,8 +331,8 @@ def solve_cavity_modes(spec: CavitySpec, k_target: float, m: int
         raise InvalidSetting("m", "m exceeds operator dimension")
     op = assemble_helmholtz(geom, spec)
     shift = k_target * k_target
-    pairs = shift_invert_eigs(parity_reduce(op, geom), shift, m)
-    block, weight = geom.parity_basis
+    block, weight, odd = geom.parity_basis
+    pairs = shift_invert_eigs(parity_reduce(op, geom), shift, m, odd)
     provenance = provenance_of(geom)
     out = []
     for q in pairs:

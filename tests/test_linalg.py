@@ -7,6 +7,7 @@ never calls it. Analytic eigenvalues of the 1-D Dirichlet Laplacian and the
 
 import ast
 import cmath
+import hashlib
 import inspect
 import re
 import symtable
@@ -317,6 +318,146 @@ class TestBandedLU:
                 assert lu.solve(b).tobytes() == x.tobytes()
 
 
+def bipartite(rng, sizes, reach, real):
+    """(M, even): a complex-symmetric M of independent blocks `sizes`, each
+    coupling i to j only for odd i + j within `reach`, and `even`, the even
+    indices. Even rows have diagonals of either sign and modulus 2 to 3,
+    odd rows weak ones."""
+    n = sum(sizes)
+    M = np.zeros((n, n), dtype=np.complex128)
+    lo = 0
+    for size in sizes:
+        for i in range(lo, lo + size):
+            for j in range(i + 1, min(lo + size, i + reach + 1), 2):
+                M[i, j] = M[j, i] = complex(
+                    rng.standard_normal(),
+                    0.0 if real else rng.standard_normal())
+        lo += size
+    strong = (2.0 + rng.random(n)) * rng.choice([-1.0, 1.0], n) + (
+        0.0 if real else 0.5j)
+    weak = 1e-3 * rng.standard_normal(n)
+    M[np.arange(n), np.arange(n)] = np.where(np.arange(n) % 2, weak, strong)
+    return M, np.arange(0, n, 2)
+
+
+class TestCondensation:
+    # lu_factor's `eliminate`: unknowns coupled to none of each other go
+    # first, and the banded code factors their Schur complement
+
+    @staticmethod
+    def swaps(lu):
+        B = lu._Uinv.shape[2]
+        ln = lu._T.shape[0] // lu._Uinv.shape[1]
+        none = (B * np.arange(len(lu._perm))[:, None, None]
+                + np.arange(lu._perm.shape[2])
+                + ln * np.arange(lu._perm.shape[1])[:, None])
+        return int((lu._perm != none).sum())
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_dense_oracle_with_swaps_in_the_complement(self, real):
+        # two lanes; eliminating the even unknowns leaves the weak odd
+        # ones' complement, whose columns pivot by swapping rows
+        rng = np.random.default_rng(31)
+        M, even = bipartite(rng, (41, 36), 5, real)
+        A = from_dense(M)
+        shift = 0.7 if real else 0.7 - 0.3j
+        lu = lu_factor(A, shift, even)
+        assert lu.n == A.n and lu._rows.size == A.n - even.size
+        assert TestBandedLU.lane_lengths(lu).tolist() == [20, 18]
+        assert lu.real == real and lu._T.dtype == lu._d.dtype
+        assert self.swaps(lu) > 0
+        TestBandedLU.check_solve(lu, M, shift)
+
+    def test_complement_against_its_dense_formula(self):
+        # S = A_KK - A_KE D^-1 A_EK, shift left out of A_KK's diagonal; its
+        # constructor checked the symmetry bit for bit
+        rng = np.random.default_rng(32)
+        M, even = bipartite(rng, (41, 36), 5, False)
+        A = from_dense(M)
+        S, _ = linalg._condense(A, A.vals, 0.7, even)
+        keep = np.arange(1, A.n, 2)
+        D = np.diag(M)[even] - 0.7
+        want = (M[np.ix_(keep, keep)]
+                - M[np.ix_(keep, even)] @ (M[np.ix_(even, keep)] / D[:, None]))
+        assert np.abs(to_dense(S) - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_coupled_eliminated_unknowns_are_refused(self):
+        A = laplacian_1d(10, 1.0)
+        with pytest.raises(ValueError, match="coupled"):
+            lu_factor(A, 0.5, [2, 3])
+        lu_factor(A, 0.5, [2, 4])  # not neighbours
+
+    def test_eliminated_pivot_is_held_to_the_pivot_rule(self):
+        # diagonal 2 minus shift 2 is an exact zero at every eliminated row
+        with pytest.raises(SingularShift, match=r"at column 3 "):
+            lu_factor(laplacian_1d(10, 1.0), 2.0, [3, 5, 7])
+
+    def test_nothing_eliminated_keeps_the_factor_bytes(self):
+        # sha256 of _T, _L, _Uinv and _perm as the factor without a
+        # condensation step made them
+        def digest(lu):
+            h = hashlib.sha256()
+            for a in (lu._T, lu._L, lu._Uinv, lu._perm):
+                h.update(np.ascontiguousarray(a).tobytes())
+            return h.hexdigest()[:16]
+
+        from epmodes import models
+        spec = models.CavitySpec(0.2798, h=0.1, variant="open",
+                                 cap_strength=8.0, cap_width=0.2)
+        geom = models.build_ellipse_grid(spec)
+        red = models.parity_reduce(models.assemble_helmholtz(geom, spec),
+                                   geom)
+        got = [digest(lu_factor(random_banded(np.random.default_rng(150),
+                                              150, 16), 0.3 + 0.2j)),
+               digest(lu_factor(random_banded(np.random.default_rng(120),
+                                              120, 9, True), 0.3)),
+               digest(lu_factor(red, 6.92 ** 2, ()))]
+        assert got == ["b8deb4269c54a016", "cfb8fc479cd783e2",
+                       "5b76d435d3bdd80b"]
+
+    def test_cavity_path_factors_half_the_unknowns(self, monkeypatch):
+        # criterion 6's h = 1/50 point: the factor keeps one checkerboard
+        # colour, in four lanes, at the reduced operator's kl and ku
+        from epmodes import models
+        spec = CavitySpec(0.300, h=0.02, variant="open", cap_strength=1.0)
+        geom = build_ellipse_grid(spec)
+        red = parity_reduce(assemble_helmholtz(geom, spec), geom)
+        seen = []
+
+        def spy(*args):
+            seen.append(lu_factor(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(linalg, "lu_factor", spy)
+        models.solve_cavity_modes(spec, 8.015, 2)
+        (lu,) = seen
+        assert lu.n == red.n == 7125
+        assert abs(lu._rows.size - red.n / 2) <= 0.01 * red.n
+        assert (lu.kl, lu.ku) == red.bandwidths()
+        assert TestBandedLU.lane_lengths(lu).size == 4
+
+    def test_closed_solve_far_up_the_spectrum(self):
+        # h = 0.1 at k = 19.9: sigma h^2 = 3.96, so each eliminated pivot
+        # 4/h^2 - sigma is 1% of its stencil's centre; the condensed factor
+        # still matches the whole one
+        spec = CavitySpec(0.1, h=0.1)
+        geom = build_ellipse_grid(spec)
+        red = parity_reduce(assemble_helmholtz(geom, spec), geom)
+        odd = geom.parity_basis[2]
+        shift = 19.9 ** 2
+        b = np.cos(np.arange(red.n)) + 0.5j
+        x = lu_factor(red, shift, odd).solve(b)
+        xo = lu_factor(red, shift).solve(b)
+        assert norm(x - xo) <= 1e-10 * norm(xo)
+        got = shift_invert_eigs(red, shift, 2, odd)
+        want = shift_invert_eigs(red, shift, 2)
+        for p, q in zip(got, want):
+            assert p.eigenvalue.imag == 0.0
+            assert abs(p.eigenvalue - q.eigenvalue) <= 1e-10 * abs(
+                q.eigenvalue)
+            assert p.residual_norm <= linalg.RESIDUAL_TOL
+
+
 class TestHessenbergEig:
     def test_real_keeps_the_bits_of_a_qr_that_stays_real(self):
         # symmetric tridiagonal: every Wilkinson shift and rotation of the
@@ -346,6 +487,8 @@ class TestHessenbergEig:
         for k in range(3):
             assert abs(norm(vecs[:, k]) - 1.0) <= 1e-14
             assert norm(H @ vecs[:, k] - evals[k] * vecs[:, k]) <= 2e-7
+        # the pair's two vectors span its real plane, not one vector twice
+        assert abs(vecs[:, 1] @ vecs[:, 2]) <= 1e-12
 
     def test_real_rejects_a_complex_matrix(self):
         with pytest.raises(ValueError, match="real matrix"):
@@ -639,42 +782,50 @@ def _traced_peak(f, *args):
 
 
 def test_cavity_solve_allocates_only_what_it_keeps(monkeypatch):
-    # criterion 6's h = 1/50 point (n = 7125, four lanes of kl = ku = 35);
-    # tracemalloc counts numpy's data buffers
+    # criterion 6's h = 1/50 point (n = 7125, four lanes of kl = ku = 35),
+    # factored as the cavity path does, with one checkerboard colour
+    # eliminated; tracemalloc counts numpy's data buffers
     spec = CavitySpec(0.300, h=0.02, variant="open", cap_strength=1.0)
     geom = build_ellipse_grid(spec)
     op = assemble_helmholtz(geom, spec)
-    geom.parity_basis  # cached on the geometry, not the reduction's
+    odd = geom.parity_basis[2]  # cached on the geometry, not the reduction's
     shift = 8.015 ** 2
     red, peak = _traced_peak(parity_reduce, op, geom)
     # the result's sort and symmetry check take about 100 B per entry of A
     # and one contribution per entry of a representative row about 90 B;
     # the 4 nnz contributions of every row would take about 4x that
     assert peak <= 200 * op.rows.size
-    lu, peak = _traced_peak(lu_factor, red, shift)
-    kl, ku = red.bandwidths()
+    lu, peak = _traced_peak(lu_factor, red, shift, odd)
+    kl, ku = red.bandwidths()  # the Schur complement's too
     band = lu._T.shape[0] * (2 * kl + ku + 1) * lu._T.itemsize
-    # one band at a time beside the L panels and U blocks, plus index
+    split = sum(a.nbytes for a in (lu._keep, lu._gone, lu._d, *lu._up,
+                                   *lu._down))
+    # one band at a time beside the L panels and U blocks, the eliminated
+    # unknowns' pivots and couplings, the complement's triplets (32 B per
+    # entry, at most 9 per kept row) while they fill the band, plus index
     # arrays and column-loop slices
-    assert peak <= band + lu._L.nbytes + lu._Uinv.nbytes + 2**20
-    monkeypatch.setattr(linalg, "lu_factor", lambda A, s: lu)
-    _, peak = _traced_peak(shift_invert_eigs, red, shift, 2)
+    assert peak <= (band + lu._L.nbytes + lu._Uinv.nbytes + split
+                    + 9 * 32 * lu._rows.size + 2**20)
+    monkeypatch.setattr(linalg, "lu_factor", lambda A, s, e: lu)
+    _, peak = _traced_peak(shift_invert_eigs, red, shift, 2, odd)
     # K + 1 = 9 basis rows, a Gram-Schmidt product of as many, the few
     # vectors of a solve and a residual, and the (cap + 1) x cap Hessenberg
     assert peak <= 40 * 16 * red.n + 201 * 200 * 16
 
 
 def test_cavity_factor_keeps_and_peaks_under_its_pins():
-    # criterion 6's h = 1/50 point: 16-row blocks keep L's panels at 6.0 MB
-    # and U's inverted blocks at 1.9 MB, and the column loop's band is the
-    # peak (with 32-row blocks the factor kept 17.5 MiB and peaked at
-    # 21.3 MiB; 16-row blocks keep 13.8 and peak at 19.0)
+    # criterion 6's h = 1/50 point with one checkerboard colour eliminated,
+    # as the cavity path factors it: the Schur complement's 3555 rows keep
+    # L's panels at 3.0 MB and U's inverted blocks at 1.0 MB, and the column
+    # loop's band is the peak; the complement is built, and its temporaries
+    # freed, before the band. (The whole 7125 rows kept 13.8 MiB and peaked
+    # at 19.0; the complement keeps 6.9 and peaks at 11.9.)
     spec = CavitySpec(0.300, h=0.02, variant="open", cap_strength=1.0)
     geom = build_ellipse_grid(spec)
     red = parity_reduce(assemble_helmholtz(geom, spec), geom)
-    _, peak, kept = _traced(lu_factor, red, 8.015 ** 2)
-    assert kept <= 15 * 2**20
-    assert peak <= 19.5 * 2**20
+    _, peak, kept = _traced(lu_factor, red, 8.015 ** 2, geom.parity_basis[2])
+    assert kept <= 9 * 2**20
+    assert peak <= 13 * 2**20
 
 
 @pytest.mark.parametrize("invert", ["_invert_unit_lower", "_invert_upper"])

@@ -469,7 +469,7 @@ def _cavity(eps, h, eta=0.0):
 
 def _basis_matrix(g):
     """Dense Q from the geometry's parity_basis."""
-    block, weight = g.parity_basis
+    block, weight, _ = g.parity_basis
     Q = np.zeros((g.npts, g.npts))
     for s in range(4):
         on = weight[s] != 0.0
@@ -522,7 +522,7 @@ class TestParityBasis:
         assert red.n == op.n  # its constructor checked the symmetry
         b = g.spec.semi_axes[1]
         assert max(red.bandwidths()) <= int(np.floor(b / h)) + 2
-        block, weight = g.parity_basis
+        block, weight, _ = g.parity_basis
         sector = np.zeros(op.n, dtype=np.int64)
         for s in range(4):
             sector[block[s, weight[s] != 0.0]] = s
@@ -535,7 +535,7 @@ class TestParityBasis:
         # reference: every entry of A in every sector, summed term by term
         op, g = _cavity(eps, h, eta)
         n = op.n
-        block, weight = g.parity_basis
+        block, weight, _ = g.parity_basis
         w = weight[:, op.rows] * weight[:, op.cols]
         keep = w != 0.0
         keys = (block[:, op.rows] * n + block[:, op.cols])[keep]
